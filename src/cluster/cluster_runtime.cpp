@@ -182,8 +182,9 @@ ClusterRuntime::ClusterRuntime(ClusterRtConfig cfg, ClockVariant clock)
   Rng master(cfg_.node.seed);
   std::vector<double> cutoffs;
   if (cfg_.assignment.policy == AssignmentPolicy::kSizeInterval) {
-    const BoundedPareto bp(cfg_.node.size_dist.a, cfg_.node.size_dist.b,
-                           cfg_.node.size_dist.c);
+    const BoundedParetoSampler bp(cfg_.node.size_dist.a,
+                                  cfg_.node.size_dist.b,
+                                  cfg_.node.size_dist.c);
     cutoffs = sita_equal_load_cutoffs(bp, cfg_.nodes);
   }
   router_.emplace(cfg_.assignment, cfg_.nodes, master.fork(8000),

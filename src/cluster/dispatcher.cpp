@@ -8,7 +8,7 @@
 
 namespace psd {
 
-std::vector<double> sita_equal_load_cutoffs(const BoundedPareto& dist,
+std::vector<double> sita_equal_load_cutoffs(const BoundedParetoSampler& dist,
                                             std::size_t nodes) {
   PSD_REQUIRE(nodes >= 1, "need at least one node");
   // Partial expected work up to x: W(x) = g (x^{1-a} - k^{1-a}) / (1-a)

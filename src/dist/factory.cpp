@@ -1,16 +1,10 @@
 #include "dist/factory.hpp"
 
+#include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
-#include "dist/bounded_exponential.hpp"
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
-#include "dist/exponential.hpp"
-#include "dist/lognormal.hpp"
-#include "dist/uniform.hpp"
 
 namespace psd {
 
@@ -28,25 +22,28 @@ constexpr const char* kDistGrammar =
     "bp:alpha,k,p | det:c | exp:m | bexp:m,lo,hi | lognormal:m,scv | "
     "uniform:a,b";
 
-/// Strict comma-separated doubles (whole tokens must parse).
+/// Strict comma-separated finite doubles: every item, including one after a
+/// trailing comma, must parse whole.
 std::vector<double> parse_params(const std::string& spec,
                                  const std::string& body) {
   std::vector<double> out;
-  std::stringstream ss(body);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = body.find(',', start);
+    const std::string item = body.substr(start, comma - start);
     try {
       std::size_t used = 0;
       const double v = std::stod(item, &used);
-      PSD_REQUIRE(used == item.size(), "");
+      PSD_REQUIRE(used == item.size() && std::isfinite(v), "");
       out.push_back(v);
     } catch (const std::exception&) {
       PSD_REQUIRE(false, "distribution '" + spec +
                              "' has a malformed parameter (expected " +
-                             kDistGrammar + ")");
+                             kDistGrammar + " with finite numbers)");
     }
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
   }
-  return out;
 }
 
 }  // namespace
@@ -120,24 +117,6 @@ DistSpec DistSpec::parse(const std::string& spec) {
   PSD_REQUIRE(known, "unknown distribution '" + spec + "' (expected " +
                          kDistGrammar + ")");
   return out;
-}
-
-std::unique_ptr<SizeDistribution> make_distribution(const DistSpec& spec) {
-  switch (spec.kind) {
-    case DistSpec::Kind::kBoundedPareto:
-      return std::make_unique<BoundedPareto>(spec.a, spec.b, spec.c);
-    case DistSpec::Kind::kDeterministic:
-      return std::make_unique<Deterministic>(spec.a);
-    case DistSpec::Kind::kExponential:
-      return std::make_unique<Exponential>(spec.a);
-    case DistSpec::Kind::kBoundedExponential:
-      return std::make_unique<BoundedExponential>(spec.a, spec.b, spec.c);
-    case DistSpec::Kind::kLognormal:
-      return std::make_unique<Lognormal>(Lognormal::from_mean_scv(spec.a, spec.b));
-    case DistSpec::Kind::kUniform:
-      return std::make_unique<UniformSize>(spec.a, spec.b);
-  }
-  PSD_UNREACHABLE("unknown distribution kind");
 }
 
 }  // namespace psd

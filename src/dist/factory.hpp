@@ -1,15 +1,13 @@
-// Value-type distribution specification + factory.
+// Value-type distribution specification.
 //
 // Configs (ScenarioConfig, SessionState, ClassSpec) need a copyable,
 // comparable description of a service-time law that can cross thread and
-// serialization boundaries; the polymorphic SizeDistribution is built from it
-// on demand with make_distribution().
+// serialization boundaries; the sampler is built from it on demand with
+// make_sampler() (dist/sampler.hpp).
 #pragma once
 
-#include <memory>
+#include <cstddef>
 #include <string>
-
-#include "dist/distribution.hpp"
 
 namespace psd {
 
@@ -57,7 +55,8 @@ struct DistSpec {
 
   /// Inverse of name().  Accepted grammar: bp:alpha,k,p | det:c | exp:m |
   /// bexp:m,lo,hi | lognormal:m,scv | uniform:a,b.  Throws psd::Error on
-  /// malformed input.
+  /// malformed input: empty or non-numeric items, non-finite values, or the
+  /// wrong parameter count.
   static DistSpec parse(const std::string& spec);
 
   friend bool operator==(const DistSpec& x, const DistSpec& y) {
@@ -67,8 +66,5 @@ struct DistSpec {
     return !(x == y);
   }
 };
-
-/// Instantiate the distribution a spec describes.
-std::unique_ptr<SizeDistribution> make_distribution(const DistSpec& spec);
 
 }  // namespace psd

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "dist/bounded_exponential.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "common/math.hpp"
 
 namespace psd {
 
@@ -58,22 +57,47 @@ std::string UniformSampler::name() const {
 
 BoundedParetoSampler::BoundedParetoSampler(double alpha, double k, double p)
     : alpha_(alpha), k_(k), p_(p) {
-  // Validation and moments come from the legacy class; only the cached
-  // sampling parameters are new.
-  const BoundedPareto bp(alpha, k, p);
+  PSD_REQUIRE(alpha > 0.0, "alpha must be positive");
+  PSD_REQUIRE(k > 0.0, "lower bound k must be positive");
+  PSD_REQUIRE(k < p, "need k < p");
+  PSD_REQUIRE(std::isfinite(alpha) && std::isfinite(p),
+              "bounded-pareto parameters must be finite");
   one_minus_kp_ = 1.0 - std::pow(k_ / p_, alpha_);
   neg_inv_alpha_ = -1.0 / alpha_;
-  mean_ = bp.mean();
-  m2_ = bp.second_moment();
-  mean_inv_ = bp.mean_inverse();
+  mean_ = moment(1.0);
+  m2_ = moment(2.0);
+  mean_inv_ = moment(-1.0);
   pow_ = alpha == 1.0   ? Pow::kInv
          : alpha == 2.0 ? Pow::kInvSqrt
          : alpha == 1.5 ? Pow::kInvCbrtSq
                         : Pow::kGeneral;
 }
 
-BoundedParetoSampler::BoundedParetoSampler(const BoundedPareto& bp)
-    : BoundedParetoSampler(bp.alpha(), bp.lower(), bp.upper()) {}
+double BoundedParetoSampler::moment(double n) const {
+  // E[X^n] = g \int_k^p x^{n-alpha-1} dx; the antiderivative switches to a
+  // logarithm when the exponent n-alpha-1 hits -1.
+  const double g = normalizer();
+  const double d = n - alpha_;
+  if (std::abs(d) < 1e-12) return g * std::log(p_ / k_);
+  return g * (std::pow(p_, d) - std::pow(k_, d)) / d;
+}
+
+double BoundedParetoSampler::pdf(double x) const {
+  if (x < k_ || x > p_) return 0.0;
+  return normalizer() * std::pow(x, -alpha_ - 1.0);
+}
+
+double BoundedParetoSampler::cdf(double x) const {
+  if (x <= k_) return 0.0;
+  if (x >= p_) return 1.0;
+  return (1.0 - std::pow(k_ / x, alpha_)) / one_minus_kp_;
+}
+
+double BoundedParetoSampler::inv_cdf(double u) const {
+  PSD_REQUIRE(u >= 0.0 && u < 1.0, "quantile argument must be in [0, 1)");
+  // Invert u = (1 - (k/x)^a) / (1 - (k/p)^a).
+  return k_ * std::pow(1.0 - u * one_minus_kp_, -1.0 / alpha_);
+}
 
 BoundedParetoSampler BoundedParetoSampler::scaled_by_rate(double rate) const {
   PSD_REQUIRE(rate > 0.0, "rate must be positive");
@@ -90,13 +114,28 @@ std::string BoundedParetoSampler::name() const {
 BoundedExponentialSampler::BoundedExponentialSampler(double mean, double lo,
                                                      double hi)
     : m_(mean), lo_(lo), hi_(hi) {
-  const BoundedExponential be(mean, lo, hi);  // validates + quadrature
+  PSD_REQUIRE(mean > 0.0, "mean must be positive");
+  PSD_REQUIRE(lo > 0.0, "lower bound must be positive");
+  PSD_REQUIRE(lo < hi, "need lo < hi");
+  PSD_REQUIRE(std::isfinite(mean) && std::isfinite(hi),
+              "bounded-exponential parameters must be finite");
   elo_ = std::exp(-lo_ / m_);
-  z_ = elo_ - std::exp(-hi_ / m_);
+  const double ehi = std::exp(-hi_ / m_);
+  z_ = elo_ - ehi;
   neg_m_ = -m_;
-  mean_ = be.mean();
-  m2_ = be.second_moment();
-  mean_inv_ = be.mean_inverse();
+  // Antiderivatives of x (1/m) e^{-x/m} and x^2 (1/m) e^{-x/m}:
+  //   -(x + m) e^{-x/m}   and   -(x^2 + 2 m x + 2 m^2) e^{-x/m}.
+  mean_ = ((lo_ + m_) * elo_ - (hi_ + m_) * ehi) / z_;
+  m2_ = ((lo_ * lo_ + 2.0 * m_ * lo_ + 2.0 * m_ * m_) * elo_ -
+         (hi_ * hi_ + 2.0 * m_ * hi_ + 2.0 * m_ * m_) * ehi) /
+        z_;
+  mean_inv_ = integrate([this](double x) { return pdf(x) / x; }, lo_, hi_,
+                        1e-12);
+}
+
+double BoundedExponentialSampler::pdf(double x) const {
+  if (x < lo_ || x > hi_) return 0.0;
+  return std::exp(-x / m_) / (m_ * z_);
 }
 
 BoundedExponentialSampler BoundedExponentialSampler::scaled_by_rate(
@@ -114,6 +153,8 @@ std::string BoundedExponentialSampler::name() const {
 ParetoSampler::ParetoSampler(double alpha, double k) : alpha_(alpha), k_(k) {
   PSD_REQUIRE(alpha > 0.0, "alpha must be positive");
   PSD_REQUIRE(k > 0.0, "lower bound k must be positive");
+  PSD_REQUIRE(std::isfinite(alpha) && std::isfinite(k),
+              "pareto parameters must be finite");
   neg_inv_alpha_ = -1.0 / alpha_;
   pow_ = alpha == 1.0   ? Pow::kInv
          : alpha == 2.0 ? Pow::kInvSqrt
@@ -133,6 +174,8 @@ std::string ParetoSampler::name() const { return render("pareto", {alpha_, k_});
 LognormalSampler LognormalSampler::from_mean_scv(double mean, double scv) {
   PSD_REQUIRE(mean > 0.0, "mean must be positive");
   PSD_REQUIRE(scv > 0.0, "scv must be positive");
+  PSD_REQUIRE(std::isfinite(mean) && std::isfinite(scv),
+              "lognormal mean and scv must be finite");
   const double s2 = std::log(1.0 + scv);
   return LognormalSampler(std::log(mean) - 0.5 * s2, std::sqrt(s2));
 }
@@ -166,7 +209,8 @@ EmpiricalSampler::Data::Data(std::vector<double> v, std::vector<double> w)
   max = 0.0;
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double x = values[i];
-    PSD_REQUIRE(x > 0.0, "empirical values must be positive");
+    PSD_REQUIRE(x > 0.0 && std::isfinite(x),
+                "empirical values must be positive and finite");
     const double wi = weights.empty() ? 1.0 : weights[i];
     s += wi * x;
     s2 += wi * x * x;

@@ -1,13 +1,19 @@
-// Sealed, value-semantic service-time samplers.
+// Sealed, value-semantic service-time samplers — the one representation of
+// a service-time law.
 //
-// The open SizeDistribution hierarchy (dist/distribution.hpp) pays a virtual
-// call per draw and a heap clone per copy — measurable at millions of samples
-// per campaign.  This header closes the set: each law is a plain value type
-// with an *inline* sample(), and SamplerVariant is the std::variant over all
-// of them.  One std::visit dispatch replaces the vtable, copies are memcpy
-// (Empirical/Mixture share immutable tables via shared_ptr, so even they copy
-// without allocating), and scaled_by_rate (paper Lemma 2) is a value
-// transform instead of a unique_ptr clone.
+// Each law is a plain value type with an *inline* sample(), and
+// SamplerVariant is the std::variant over all of them.  One std::visit
+// dispatch per draw (no vtable), copies are memcpy (Empirical/Mixture share
+// immutable tables via shared_ptr, so even they copy without allocating),
+// and scaled_by_rate (paper Lemma 2) is a value transform.
+//
+// The same values feed the analysis: the paper's closed forms (Lemma 1,
+// Theorem 1, eq. 17/18 in queueing/ and core/psd_allocation) need exactly
+// E[X], E[X^2] and E[1/X], which every sampler exposes.  E[1/X] exists for
+// every bounded-below law but diverges for, e.g., the unbounded exponential
+// — precisely the paper's argument for the Bounded Pareto model — and
+// mean_inverse() reports that by throwing std::domain_error.  Constructors
+// are where laws are validated: parameters must be finite and in range.
 //
 // Fast paths beyond devirtualization:
 //   * Exponential draws via the 256-layer ziggurat (dist/ziggurat.hpp),
@@ -15,11 +21,10 @@
 //   * BoundedPareto caches 1 - (k/p)^alpha and -1/alpha, and lowers the
 //     pow() to a reciprocal / rsqrt / rcbrt for the common alpha 1, 2, 1.5.
 //
-// The legacy ABC remains the moment-analysis interface (M/G/1 formulas,
-// eq. 17/18); dist/adapter.hpp bridges a SamplerVariant into it.  To add a
-// new distribution: write a sampler struct with the methods below, append it
-// to SamplerVariant::Alternatives, and extend make_sampler — the compiler
-// then enforces exhaustiveness everywhere a visit switches on the set.
+// To add a new distribution: write a sampler class with the methods below,
+// append it to SamplerVariant::Alternatives, and extend make_sampler — the
+// compiler then enforces exhaustiveness everywhere a visit switches on the
+// set.
 #pragma once
 
 #include <cmath>
@@ -64,6 +69,7 @@ class DeterministicSampler {
  public:
   explicit DeterministicSampler(double value) : v_(value) {
     PSD_REQUIRE(value > 0.0, "deterministic size must be positive");
+    PSD_REQUIRE(std::isfinite(value), "deterministic size must be finite");
   }
   double sample(Rng&) const { return v_; }
   double mean() const { return v_; }
@@ -83,6 +89,7 @@ class ExponentialSampler {
  public:
   explicit ExponentialSampler(double mean) : mean_(mean) {
     PSD_REQUIRE(mean > 0.0, "mean must be positive");
+    PSD_REQUIRE(std::isfinite(mean), "mean must be finite");
   }
   double sample(Rng& rng) const { return mean_ * ziggurat_exponential(rng); }
   double mean() const { return mean_; }
@@ -106,6 +113,7 @@ class UniformSampler {
   UniformSampler(double lo, double hi) : lo_(lo), span_(hi - lo), hi_(hi) {
     PSD_REQUIRE(lo > 0.0, "lower bound must be positive");
     PSD_REQUIRE(lo < hi, "need lo < hi");
+    PSD_REQUIRE(std::isfinite(hi), "upper bound must be finite");
   }
   double sample(Rng& rng) const { return lo_ + span_ * rng.uniform01(); }
   double mean() const { return 0.5 * (lo_ + hi_); }
@@ -122,16 +130,21 @@ class UniformSampler {
   double lo_, span_, hi_;
 };
 
-class BoundedPareto;
-
-/// Bounded Pareto BP(alpha, k, p): cached-parameter inverse transform.
+/// Bounded Pareto BP(alpha, k, p) — the paper's service-time model (§4.1):
+/// heavy-tailed like real web object sizes, yet with finite E[X^2] and
+/// E[1/X] because the support is the bounded interval [k, p].
+///
+///   pdf(x) = g x^{-alpha-1} on [k, p],  g = alpha k^alpha / (1 - (k/p)^alpha)
+///   E[X^n] = g (p^{n-alpha} - k^{n-alpha}) / (n - alpha)   (n != alpha)
+///          = g ln(p/k)                                     (n == alpha)
+///
+/// Closed under Lemma-2 rate scaling: X/r ~ BP(alpha, k/r, p/r).  sample()
+/// is a cached-parameter inverse transform; inv_cdf() is the plain pow()
+/// form, which it matches on the same uniform stream to a few ulps.
 class BoundedParetoSampler {
  public:
+  /// alpha > 0, 0 < k < p, all finite.
   BoundedParetoSampler(double alpha, double k, double p);
-  /// Same law as an existing analysis-side BoundedPareto — call sites that
-  /// keep one named distribution for moments can derive the sampler from it
-  /// instead of re-typing the parameters.
-  explicit BoundedParetoSampler(const BoundedPareto& bp);
 
   double sample(Rng& rng) const {
     // Invert u = (1 - (k/x)^a) / (1 - (k/p)^a): x = k t^{-1/alpha} with
@@ -160,7 +173,23 @@ class BoundedParetoSampler {
   BoundedParetoSampler scaled_by_rate(double rate) const;
   std::string name() const;
 
+  /// E[X^n] for any real n (closed form; log form at n == alpha).
+  double moment(double n) const;
+
+  double pdf(double x) const;
+  double cdf(double x) const;
+  /// Quantile function; u in [0, 1).
+  double inv_cdf(double u) const;
+
   double alpha() const { return alpha_; }
+  double lower() const { return k_; }
+  double upper() const { return p_; }
+  /// The pdf prefactor g (pdf(x) = g x^{-alpha-1}).  Computed on demand
+  /// rather than stored: the analysis calls it rarely, and the sampler
+  /// stays small in the per-request generators.
+  double normalizer() const {
+    return alpha_ * std::pow(k_, alpha_) / one_minus_kp_;
+  }
 
  private:
   enum class Pow : std::uint8_t { kGeneral, kInv, kInvSqrt, kInvCbrtSq };
@@ -170,9 +199,16 @@ class BoundedParetoSampler {
   Pow pow_;
 };
 
-/// Exponential of mean m truncated to [lo, hi]: cached inverse transform.
+/// Exponential of mean m truncated to [lo, hi], lo > 0: the minimal fix that
+/// makes E[1/X] finite for an exponential-shaped law.
+///
+///   pdf(x) = (1/m) e^{-x/m} / Z on [lo, hi],  Z = e^{-lo/m} - e^{-hi/m}.
+///
+/// E[X] and E[X^2] are elementary; E[1/X] is an exponential integral,
+/// evaluated once by adaptive quadrature at construction.
 class BoundedExponentialSampler {
  public:
+  /// `mean` is the mean of the *untruncated* exponential.
   BoundedExponentialSampler(double mean, double lo, double hi);
 
   double sample(Rng& rng) const {
@@ -186,6 +222,8 @@ class BoundedExponentialSampler {
   double max_value() const { return hi_; }
   BoundedExponentialSampler scaled_by_rate(double rate) const;
   std::string name() const;
+
+  double pdf(double x) const;
 
  private:
   double m_, lo_, hi_;
@@ -232,11 +270,13 @@ class ParetoSampler {
   Pow pow_;
 };
 
-/// Lognormal(mu, sigma) via Box-Muller (same stream as the legacy class).
+/// Lognormal(mu, sigma) via Box-Muller, one fresh uniform pair per variate.
 class LognormalSampler {
  public:
   LognormalSampler(double mu, double sigma) : mu_(mu), sigma_(sigma) {
     PSD_REQUIRE(sigma > 0.0, "sigma must be positive");
+    PSD_REQUIRE(std::isfinite(mu) && std::isfinite(sigma),
+                "lognormal parameters must be finite");
   }
   static LognormalSampler from_mean_scv(double mean, double scv);
 
@@ -261,8 +301,8 @@ class LognormalSampler {
 };
 
 /// Weighted resampling from a fixed value set via an alias table.  Uniform
-/// weights (the legacy Empirical behaviour) are the default.  Copies share
-/// the immutable table — no allocation per copy.
+/// weights are the default.  Copies share the immutable table — no
+/// allocation per copy.
 class EmpiricalSampler {
  public:
   explicit EmpiricalSampler(std::vector<double> values,
@@ -455,8 +495,7 @@ inline void MixtureSampler::sample_n(Rng& rng, double* out,
   }
 }
 
-/// Instantiate the sampler a DistSpec describes (the variant twin of
-/// make_distribution).
+/// Instantiate the sampler a DistSpec describes.
 SamplerVariant make_sampler(const DistSpec& spec);
 
 }  // namespace psd

@@ -172,8 +172,8 @@ RunResult run_cluster_scenario(const ScenarioConfig& cfg,
   std::vector<double> cutoffs;
   if (cfg.cluster_policy == AssignmentPolicy::kSizeInterval) {
     // validate() guarantees a bounded-pareto spec here.
-    BoundedPareto bp(cfg.size_dist.a, cfg.size_dist.b, cfg.size_dist.c);
-    cutoffs = sita_equal_load_cutoffs(bp, nodes);
+    cutoffs = sita_equal_load_cutoffs(*dist.get_if<BoundedParetoSampler>(),
+                                      nodes);
   }
 
   Cluster cluster(

@@ -9,28 +9,15 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
-#include "stats/batch_means.hpp"
 #include "stats/ci.hpp"
 #include "stats/histogram.hpp"
 #include "stats/interval_series.hpp"
 #include "stats/online.hpp"
-#include "stats/p2_quantile.hpp"
 #include "stats/percentile.hpp"
-#include "stats/reservoir.hpp"
 
-#include "dist/adapter.hpp"
 #include "dist/alias_table.hpp"
-#include "dist/bounded_exponential.hpp"
-#include "dist/bounded_pareto.hpp"
-#include "dist/deterministic.hpp"
-#include "dist/empirical.hpp"
-#include "dist/exponential.hpp"
 #include "dist/factory.hpp"
-#include "dist/lognormal.hpp"
-#include "dist/mixture.hpp"
-#include "dist/pareto.hpp"
 #include "dist/sampler.hpp"
-#include "dist/uniform.hpp"
 #include "dist/ziggurat.hpp"
 
 #include "queueing/md1.hpp"

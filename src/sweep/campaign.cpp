@@ -212,7 +212,9 @@ CampaignResult run_campaign(
 
     for (std::size_t r0 = 0; r0 < options.runs; r0 += group) {
       const std::size_t count = std::min(group, options.runs - r0);
-      pool->submit([&, i, r0, count] {
+      // `group` lives in this loop body, which can end before the task runs:
+      // capture it by value like the other per-task indices.
+      pool->submit([&, i, r0, count, group] {
         PointState& st = state[i];
         PointOutcome& outcome = out.points[i];
         const auto rep0 = std::chrono::steady_clock::now();

@@ -1,6 +1,7 @@
-// Bounded Pareto: closed-form moments vs numeric integration vs sampling;
-// inverse-CDF correctness; Lemma-2 rate scaling — parameterized across the
-// (alpha, k, p) grid the paper sweeps in Figs. 11-12.
+// Bounded Pareto sampler: closed-form moments vs numeric integration of the
+// pdf vs sampling; inverse-CDF correctness; Lemma-2 rate scaling —
+// parameterized across the (alpha, k, p) grid the paper sweeps in
+// Figs. 11-12.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,29 +9,34 @@
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "stats/online.hpp"
 
 namespace psd {
 namespace {
 
 TEST(BoundedPareto, RejectsInvalidParameters) {
-  EXPECT_THROW(BoundedPareto(0.0, 0.1, 100.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.5, 0.0, 100.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.5, -1.0, 100.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.5, 100.0, 100.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.5, 100.0, 0.1), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(0.0, 0.1, 100.0), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(1.5, 0.0, 100.0), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(1.5, -1.0, 100.0), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(1.5, 100.0, 100.0), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(1.5, 100.0, 0.1), std::invalid_argument);
+  // Non-finite parameters (e.g. from "--dist bp:1.5,0.1,inf").
+  EXPECT_THROW(BoundedParetoSampler(kInf, 0.1, 100.0), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(1.5, 0.1, kInf), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(kNaN, 0.1, 100.0), std::invalid_argument);
+  EXPECT_THROW(BoundedParetoSampler(1.5, kNaN, 100.0), std::invalid_argument);
 }
 
 TEST(BoundedPareto, PdfIntegratesToOne) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  BoundedParetoSampler bp(1.5, 0.1, 100.0);
   const double total =
       integrate([&](double x) { return bp.pdf(x); }, 0.1, 100.0);
   EXPECT_NEAR(total, 1.0, 1e-8);
 }
 
 TEST(BoundedPareto, PdfZeroOutsideSupport) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  BoundedParetoSampler bp(1.5, 0.1, 100.0);
   EXPECT_DOUBLE_EQ(bp.pdf(0.05), 0.0);
   EXPECT_DOUBLE_EQ(bp.pdf(100.5), 0.0);
   EXPECT_GT(bp.pdf(0.1), 0.0);
@@ -38,7 +44,7 @@ TEST(BoundedPareto, PdfZeroOutsideSupport) {
 }
 
 TEST(BoundedPareto, CdfEndpointsAndMonotonicity) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  BoundedParetoSampler bp(1.5, 0.1, 100.0);
   EXPECT_DOUBLE_EQ(bp.cdf(0.1), 0.0);
   EXPECT_DOUBLE_EQ(bp.cdf(100.0), 1.0);
   double prev = 0.0;
@@ -50,7 +56,7 @@ TEST(BoundedPareto, CdfEndpointsAndMonotonicity) {
 }
 
 TEST(BoundedPareto, InverseCdfRoundTrip) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  BoundedParetoSampler bp(1.5, 0.1, 100.0);
   for (double u : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999}) {
     const double x = bp.inv_cdf(u);
     EXPECT_NEAR(bp.cdf(x), u, 1e-10);
@@ -61,7 +67,7 @@ TEST(BoundedPareto, InverseCdfRoundTrip) {
 
 TEST(BoundedPareto, PaperDefaultMoments) {
   // The exact scalars driving every figure: BP(1.5, 0.1, 100).
-  BoundedPareto bp(1.5, 0.1, 100.0);
+  BoundedParetoSampler bp(1.5, 0.1, 100.0);
   EXPECT_NEAR(bp.mean(), 0.29052, 1e-4);
   EXPECT_NEAR(bp.second_moment(), 0.91871, 1e-4);
   EXPECT_NEAR(bp.mean_inverse(), 6.0002, 1e-3);
@@ -71,9 +77,9 @@ using BpParams = std::tuple<double, double, double>;
 
 class BpMomentGrid : public ::testing::TestWithParam<BpParams> {
  protected:
-  BoundedPareto make() const {
+  BoundedParetoSampler make() const {
     const auto [a, k, p] = GetParam();
-    return BoundedPareto(a, k, p);
+    return BoundedParetoSampler(a, k, p);
   }
 };
 
@@ -110,7 +116,7 @@ TEST_P(BpMomentGrid, SampleMomentsMatchClosedForm) {
 TEST_P(BpMomentGrid, Lemma2ScalingOfAllThreeMoments) {
   const auto bp = make();
   for (double r : {0.25, 0.5, 2.0, 7.5}) {
-    const BoundedPareto scaled = bp.scaled_by_rate(r);
+    const BoundedParetoSampler scaled = bp.scaled_by_rate(r);
     // Lemma 2: E[X_i] = E[X]/r, E[X_i^2] = E[X^2]/r^2, E[1/X_i] = r E[1/X].
     EXPECT_NEAR(scaled.mean(), bp.mean() / r, 1e-9 * bp.mean() / r);
     EXPECT_NEAR(scaled.second_moment(), bp.second_moment() / (r * r),
@@ -137,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BoundedPareto, AlphaEqualsMomentOrderUsesLogForm) {
   // E[X^n] at n == alpha switches to g*ln(p/k); check continuity around it.
-  BoundedPareto bp(2.0, 0.1, 100.0);
+  BoundedParetoSampler bp(2.0, 0.1, 100.0);
   const double at = bp.moment(2.0);
   const double below = bp.moment(2.0 - 1e-7);
   const double above = bp.moment(2.0 + 1e-7);
@@ -148,7 +154,7 @@ TEST(BoundedPareto, AlphaEqualsMomentOrderUsesLogForm) {
 TEST(BoundedPareto, ShapeParameterEffectMatchesFig11Narrative) {
   // Paper §4.5: smaller alpha => larger E[X^2] (burstier) => larger slowdown;
   // E[1/X] shrinks slightly as alpha falls.
-  BoundedPareto lo(1.1, 0.1, 100.0), hi(1.9, 0.1, 100.0);
+  BoundedParetoSampler lo(1.1, 0.1, 100.0), hi(1.9, 0.1, 100.0);
   EXPECT_GT(lo.second_moment(), hi.second_moment());
   EXPECT_GT(lo.second_moment() * lo.mean_inverse(),
             hi.second_moment() * hi.mean_inverse());
@@ -156,21 +162,21 @@ TEST(BoundedPareto, ShapeParameterEffectMatchesFig11Narrative) {
 
 TEST(BoundedPareto, UpperBoundEffectMatchesFig12Narrative) {
   // Paper §4.5: larger p => larger E[X^2], E[1/X] nearly unchanged.
-  BoundedPareto p100(1.5, 0.1, 100.0), p10k(1.5, 0.1, 10000.0);
+  BoundedParetoSampler p100(1.5, 0.1, 100.0), p10k(1.5, 0.1, 10000.0);
   EXPECT_GT(p10k.second_moment(), p100.second_moment());
   EXPECT_NEAR(p10k.mean_inverse() / p100.mean_inverse(), 1.0, 0.01);
 }
 
 TEST(BoundedPareto, CopyIsIndependentAndEqual) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
-  const BoundedPareto c = bp;  // plain value copy, no heap clone
+  BoundedParetoSampler bp(1.5, 0.1, 100.0);
+  const BoundedParetoSampler c = bp;  // plain value copy
   EXPECT_EQ(c.name(), bp.name());
   EXPECT_DOUBLE_EQ(c.mean(), bp.mean());
 }
 
 TEST(BoundedPareto, ScvIsLargeForHeavyTail) {
-  BoundedPareto bp(1.5, 0.1, 100.0);
-  EXPECT_GT(bp.scv(), 5.0);  // strongly non-exponential
+  BoundedParetoSampler bp(1.5, 0.1, 100.0);
+  EXPECT_GT(SamplerVariant(bp).scv(), 5.0);  // strongly non-exponential
 }
 
 }  // namespace

@@ -125,6 +125,13 @@ TEST(SpecRegistry, AcceptsHistoricalSpellings) {
 TEST(SpecRegistry, RejectsMalformedInput) {
   EXPECT_THROW(spec::parse<DistSpec>("pareto:1.5"), std::invalid_argument);
   EXPECT_THROW(spec::parse<DistSpec>("bp:1.5"), std::invalid_argument);
+  // Empty items (a trailing comma used to be dropped silently) and
+  // non-finite values.
+  for (const char* bad : {"bp:1.5,0.1,100,", "bp:1.5,,100", "bp:",
+                          "bp:1.5,0.1,inf", "bp:inf,0.1,100", "det:nan",
+                          "uniform:0.5,infinity"}) {
+    EXPECT_THROW(spec::parse<DistSpec>(bad), std::invalid_argument) << bad;
+  }
   EXPECT_THROW(spec::parse<ArrivalSpec>("mmpp:0.5"), std::invalid_argument);
   EXPECT_THROW(spec::parse<ArrivalSpec>("burst"), std::invalid_argument);
   EXPECT_THROW(spec::parse<LoadProfile>("ramp:1,2"), std::invalid_argument);

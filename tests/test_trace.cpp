@@ -4,7 +4,7 @@
 #include <memory>
 #include <sstream>
 
-#include "dist/bounded_pareto.hpp"
+#include "dist/sampler.hpp"
 #include "experiment/runner.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
@@ -145,7 +145,7 @@ TEST(TraceScenario, RecordedScenarioReplaysToIdenticalResults) {
 }
 
 TEST(TraceEndToEnd, RecordedWorkloadReplaysIdentically) {
-  // Record a Poisson/BoundedPareto stream, replay it, and compare.
+  // Record a Poisson/BoundedParetoSampler stream, replay it, and compare.
   Simulator sim1;
   RecordingSink rec;
   RequestGenerator gen(sim1, Rng(9), 1, PoissonArrivals(3.0),
