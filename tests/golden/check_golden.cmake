@@ -1,12 +1,13 @@
-# Fixed-seed golden check: runs psdsweep and psdsim with fixed seeds and
-# compares their output bytes with the files committed next to this script.
+# Fixed-seed golden check: runs psdsweep, psdsim and rt_golden with fixed
+# seeds and compares their output bytes with the files committed next to
+# this script.
 #
-#   cmake -DPSDSIM=<psdsim> -DPSDSWEEP=<psdsweep> -DGOLDEN_DIR=<this dir>
-#         -DOUT_DIR=<scratch dir> -P check_golden.cmake
+#   cmake -DPSDSIM=<psdsim> -DPSDSWEEP=<psdsweep> -DRT_GOLDEN=<rt_golden>
+#         -DGOLDEN_DIR=<this dir> -DOUT_DIR=<scratch dir> -P check_golden.cmake
 #
 # ctest runs it as test_golden.  After an intended output change, run it
 # once and copy the files from OUT_DIR over GOLDEN_DIR.
-foreach(var PSDSIM PSDSWEEP GOLDEN_DIR OUT_DIR)
+foreach(var PSDSIM PSDSWEEP RT_GOLDEN GOLDEN_DIR OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_golden.cmake needs -D${var}=...")
   endif()
@@ -32,9 +33,12 @@ endforeach()
 # The default psdsim report.
 run_step(psdsim "${PSDSIM}")
 file(RENAME "${OUT_DIR}/psdsim.stdout" "${OUT_DIR}/psdsim.txt")
+# ManualClock rt and cluster reports plus one cluster stats stream.
+run_step(rt "${RT_GOLDEN}" "${OUT_DIR}/cluster_stats.jsonl")
+file(RENAME "${OUT_DIR}/rt.stdout" "${OUT_DIR}/rt.txt")
 
 set(failed "")
-foreach(f sweep.jsonl cluster.jsonl psdsim.txt)
+foreach(f sweep.jsonl cluster.jsonl psdsim.txt rt.txt cluster_stats.jsonl)
   execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
                           "${GOLDEN_DIR}/${f}" "${OUT_DIR}/${f}"
                   RESULT_VARIABLE rc)
