@@ -3,23 +3,33 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <thread>
 
-#include "baselines/static_allocators.hpp"
 #include "cluster/dispatcher.hpp"
-#include "core/psd_rate_allocator.hpp"
 #include "dist/sampler.hpp"
 #include "stats/convergence.hpp"
 #include "workload/class_spec.hpp"
 
 namespace psd::rt {
 
+namespace {
+
+// Under SITA-E a dead node's band reroutes to a survivor, whose work weight
+// then exceeds its capacity share: its weighted rate slice would overrun
+// the node's servers.
+constexpr const char* kSitaKillUnsupported =
+    "node kill is not supported under SITA-E assignment";
+
+}  // namespace
+
 void ClusterRtConfig::validate() const {
   node.validate();
   PSD_REQUIRE(nodes >= 1 && nodes <= 64, "cluster needs 1..64 nodes");
   assignment.validate();
-  PSD_REQUIRE(rebalance_period > 0.0, "rebalance period must be positive");
+  PSD_REQUIRE(rebalance_period > 0.0 && std::isfinite(rebalance_period),
+              "rebalance period must be positive and finite");
+  // Negative = never; NaN would read as "never" too, silently.
+  PSD_REQUIRE(std::isfinite(kill_at), "kill time must be finite");
   if (assignment.policy == AssignmentPolicy::kSizeInterval) {
     // SITA-E cutoffs partition the size distribution's support into
     // equal-work bands, which the closed form below only knows how to do
@@ -29,127 +39,11 @@ void ClusterRtConfig::validate() const {
   }
   if (kill_at >= 0.0) {
     PSD_REQUIRE(nodes >= 2, "cannot kill a node of a 1-node cluster");
+    PSD_REQUIRE(assignment.policy != AssignmentPolicy::kSizeInterval,
+                kSitaKillUnsupported);
     PSD_REQUIRE(kill_node < nodes, "kill node out of range");
     PSD_REQUIRE(kill_at > 0.0 && kill_at < node.duration,
                 "kill time must fall inside the run");
-  }
-}
-
-namespace {
-
-/// The rt controller's allocator switch, rebuilt against a given capacity —
-/// the global controller re-runs it every time the alive set changes.
-std::unique_ptr<RateAllocator> make_global_allocator(
-    const GlobalController::Config& cfg, double capacity) {
-  PsdAllocatorConfig pc;
-  pc.delta = cfg.delta;
-  pc.capacity = capacity;
-  pc.mean_size = cfg.mean_size;
-  pc.rho_max = cfg.rho_max;
-  pc.min_residual_share = cfg.min_residual_share;
-  switch (cfg.allocator) {
-    case AllocatorKind::kPsd:
-      return std::make_unique<PsdRateAllocator>(pc);
-    case AllocatorKind::kAdaptivePsd:
-      return std::make_unique<AdaptivePsdAllocator>(pc, cfg.adaptive);
-    case AllocatorKind::kEqualShare:
-      return std::make_unique<EqualShareAllocator>(cfg.delta.size(), capacity);
-    case AllocatorKind::kLoadProportional:
-      return std::make_unique<LoadProportionalAllocator>(
-          cfg.delta.size(), capacity, cfg.mean_size);
-    case AllocatorKind::kNone:
-      return nullptr;
-  }
-  PSD_UNREACHABLE("unknown allocator kind");
-}
-
-}  // namespace
-
-GlobalController::GlobalController(Config cfg,
-                                   std::vector<RuntimeHandle*> nodes,
-                                   const AssignmentRouter* router)
-    : cfg_(std::move(cfg)), nodes_(std::move(nodes)), router_(router) {
-  PSD_REQUIRE(!nodes_.empty(), "global controller needs at least one node");
-  PSD_REQUIRE(router_ != nullptr, "global controller needs the router");
-  PSD_REQUIRE(!cfg_.delta.empty() && cfg_.delta.size() <= kMaxRtClasses,
-              "global controller supports 1..kMaxRtClasses classes");
-  shards_per_node_ = nodes_[0]->num_shards();
-  windows_seen_.assign(nodes_.size() * shards_per_node_ * cfg_.delta.size(),
-                       0);
-  // Until the first warm tick every shard runs its initial equal split.
-  rates_.assign(cfg_.delta.size(),
-                cfg_.node_capacity * static_cast<double>(nodes_.size()) /
-                    static_cast<double>(cfg_.delta.size()));
-  lambda_.assign(cfg_.delta.size(), 0.0);
-  rebuild_allocator();
-}
-
-void GlobalController::rebuild_allocator() {
-  const double capacity =
-      cfg_.node_capacity * static_cast<double>(router_->alive_count());
-  allocator_ = make_global_allocator(cfg_, capacity);
-}
-
-void GlobalController::on_topology_change() {
-  // A fresh allocator against the shrunken capacity: the adaptive
-  // integrator restarts from the stationary eq.-17 point, and the time it
-  // takes to re-tighten the ratios is exactly the settle metric.
-  rebuild_allocator();
-}
-
-void GlobalController::tick(Time now) {
-  (void)now;
-  const std::size_t n = cfg_.delta.size();
-  std::vector<double> lambda(n, 0.0);
-  std::vector<double> sd_sum(n, 0.0);
-  std::vector<std::uint32_t> sd_cnt(n, 0);
-  bool fresh_window = false;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!router_->alive(i)) continue;
-    const auto snaps = nodes_[i]->shard_snapshots();
-    for (std::size_t s = 0; s < snaps.size(); ++s) {
-      const ShardSnapshot& snap = snaps[s];
-      for (std::size_t c = 0; c < n; ++c) {
-        lambda[c] += snap.lambda_hat[c];
-        // Same exactly-once feedback gate the node controller applies per
-        // (shard, class), here keyed by (node, shard, class): each closed
-        // metrics window feeds the adaptive integrator once, cluster-wide.
-        std::uint64_t& seen =
-            windows_seen_[(i * shards_per_node_ + s) * n + c];
-        const bool advanced = snap.window_seq[c] > seen;
-        seen = snap.window_seq[c];
-        if (advanced && std::isfinite(snap.window_slowdown[c])) {
-          sd_sum[c] += snap.window_slowdown[c];
-          ++sd_cnt[c];
-          fresh_window = true;
-        }
-      }
-    }
-  }
-  std::vector<double> mean_sd(n, kNaN);
-  for (std::size_t c = 0; c < n; ++c) {
-    if (sd_cnt[c] > 0) mean_sd[c] = sd_sum[c] / sd_cnt[c];
-  }
-
-  ++ticks_;
-  lambda_ = lambda;
-  const double total = std::accumulate(lambda.begin(), lambda.end(), 0.0);
-  // Cold start keeps the initial equal split, like the node controller.
-  if (allocator_ != nullptr && total > 0.0) {
-    if (fresh_window) allocator_->observe_slowdowns(mean_sd);
-    rates_ = allocator_->allocate(lambda);
-    ++allocations_;
-    // Split each class's global rate across alive nodes by the router's
-    // work weights: uniform for the symmetric policies, band shares under
-    // SITA-E (a band node sees only its band's work, so its slice must
-    // match what the dispatcher actually sends there).
-    const std::vector<double> w = router_->work_weights();
-    std::vector<double> node_rates(n);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!router_->alive(i)) continue;
-      for (std::size_t c = 0; c < n; ++c) node_rates[c] = rates_[c] * w[i];
-      nodes_[i]->set_rates(node_rates, ticks_);
-    }
   }
 }
 
@@ -161,10 +55,9 @@ ClusterRuntime::ClusterRuntime(ClusterRtConfig cfg, ClockVariant clock)
 
   // Nodes: embedded runtimes with RATE-LESS controllers — node ticks still
   // publish controller snapshots and stage admission updates, but the
-  // global controller is the single rate writer.  The node template's
-  // allocator field selects the GLOBAL allocator instead.
+  // cluster controller is the single rate writer.  The node template's
+  // allocator field selects the cluster controller's allocator instead.
   RtConfig nc = cfg_.node;
-  const AllocatorKind global_alloc = nc.allocator;
   nc.allocator = AllocatorKind::kNone;
   nodes_.reserve(cfg_.nodes);
   for (std::size_t i = 0; i < cfg_.nodes; ++i) {
@@ -190,20 +83,19 @@ ClusterRuntime::ClusterRuntime(ClusterRtConfig cfg, ClockVariant clock)
   router_.emplace(cfg_.assignment, cfg_.nodes, master.fork(8000),
                   std::move(cutoffs));
 
-  GlobalController::Config gc;
-  gc.delta = cfg_.node.delta;
-  gc.node_capacity =
-      cfg_.node.shard_capacity() * static_cast<double>(cfg_.node.shards);
-  gc.mean_size = make_sampler(cfg_.node.size_dist).mean();
-  gc.allocator = global_alloc;
-  gc.adaptive = cfg_.node.adaptive;
-  gc.rho_max = cfg_.node.rho_max;
-  gc.min_residual_share = cfg_.node.min_residual_share;
-  std::vector<RuntimeHandle*> handle_ptrs;
-  handle_ptrs.reserve(handles_.size());
-  for (auto& h : handles_) handle_ptrs.push_back(&h);
-  global_ = std::make_unique<GlobalController>(
-      std::move(gc), std::move(handle_ptrs), &*router_);
+  // The cluster's rate controller: one shard group per node, weighted by
+  // the router's work share (uniform for the symmetric policies, band
+  // shares under SITA-E), so each node's slice matches the work the
+  // dispatcher actually sends there.
+  ControllerConfig cc;
+  cc.allocator = cfg_.node.allocator;
+  cc.psd = cfg_.node.psd_allocator_config();
+  cc.adaptive = cfg_.node.adaptive;
+  std::vector<std::vector<Shard*>> groups;
+  groups.reserve(nodes_.size());
+  for (auto& node : nodes_) groups.push_back(node->shard_ptrs());
+  controller_ = std::make_unique<Controller>(
+      std::move(cc), std::move(groups), router_->work_weights());
 
   // Load sources: the single-node Runtime's construction verbatim, except
   // per-class rates scale with the node count (cfg.node.load is per-SHARD
@@ -278,8 +170,8 @@ void ClusterRuntime::dispatch(const Request& req) {
   }
 }
 
-void ClusterRuntime::global_tick(Time now) {
-  global_->tick(now);
+void ClusterRuntime::rebalance(Time now) {
+  controller_->tick(now);
   if (stats_ != nullptr) sample_stats(now);
 }
 
@@ -302,7 +194,9 @@ void ClusterRuntime::sample_stats(Time now) {
       }
     }
   }
-  stats_->sample(now, per_node, global_->rates(), global_->allocations());
+  const ControllerSnapshot cs = controller_->snapshot();
+  stats_->sample(now, per_node, std::vector<double>(cs.rate, cs.rate + n),
+                 cs.allocations);
 }
 
 void ClusterRuntime::do_kill(std::size_t node,
@@ -317,7 +211,10 @@ void ClusterRuntime::do_kill(std::size_t node,
   // Freeze the node's metrics at the kill instant: its windows end here,
   // its outstanding requests are stranded (counted as lost_to_kill).
   nodes_[node]->finish();
-  global_->on_topology_change();
+  // Re-weight the groups: the dead node's weight drops to 0 and the
+  // allocator is rebuilt at the alive capacity (the adaptive integrator
+  // restarts; re-tightening the ratios is exactly the settle metric).
+  controller_->set_weights(router_->work_weights());
   killed_ = true;
   kill_time_ = clock_.now();
   if (stats_ != nullptr) stats_->kill(kill_time_, node);
@@ -329,6 +226,8 @@ void ClusterRuntime::kill(std::size_t node) {
               "cfg.kill_at");
   PSD_REQUIRE(node < handles_.size(), "kill node out of range");
   PSD_REQUIRE(router_->alive(node), "node already dead");
+  PSD_REQUIRE(cfg_.assignment.policy != AssignmentPolicy::kSizeInterval,
+              kSitaKillUnsupported);
   do_kill(node);
 }
 
@@ -356,7 +255,7 @@ void ClusterRuntime::step_to_internal(Time t) {
     if (router_->alive(i)) handles_[i].step_to(t);
   }
   while (next_rebalance_ <= t) {
-    global_tick(next_rebalance_);
+    rebalance(next_rebalance_);
     next_rebalance_ += cfg_.rebalance_period;
   }
 }
@@ -434,7 +333,7 @@ ClusterReport ClusterRuntime::run() {
     });
   }
 
-  // One controller thread drives node ticks, global rebalances, AND the
+  // One controller thread drives node ticks, cluster rebalances, AND the
   // kill: topology changes live on this thread so the router's alive mask
   // has exactly one writer (dispatch reads it under the dispatch mutex).
   threads.emplace_back([this, num_nodes, &stop_rest, &kill_requested,
@@ -460,7 +359,7 @@ ClusterReport ClusterRuntime::run() {
         next_node = now + cfg_.node.controller_period;
       }
       if (now >= next_rebalance_) {
-        global_tick(now);
+        rebalance(now);
         next_rebalance_ = now + cfg_.rebalance_period;
       }
       const double dt = std::min(next_node, next_rebalance_) - clock_.now();
@@ -544,8 +443,9 @@ ClusterReport ClusterRuntime::report() const {
     r.shed_total += r.cls[c].shed;
   }
   for (const auto& g : gens_) r.produced += g->produced();
-  r.global_ticks = global_->ticks();
-  r.rebalances = global_->allocations();
+  const ControllerSnapshot cs = controller_->snapshot();
+  r.global_ticks = cs.ticks;
+  r.rebalances = cs.allocations;
   r.mean_dispatch_ns =
       dispatch_timed_ > 0
           ? static_cast<double>(dispatch_ns_) /

@@ -1,5 +1,5 @@
 // Cluster-scale serving: N in-process rt::Runtime "nodes" behind the shared
-// assignment dispatcher, steered by one GLOBAL controller.
+// assignment dispatcher, steered by one cluster-wide rt::Controller.
 //
 // This is the rt counterpart of the simulation Cluster (cluster/
 // dispatcher.hpp), composed from the same parts the single-node runtime
@@ -8,24 +8,28 @@
 //   * each node is an EMBEDDED Runtime (rt/handle.hpp): its own shards,
 //     seqlock snapshots, and a node controller pinned to AllocatorKind::
 //     kNone — node ticks publish snapshots and stage admission updates but
-//     never write rates, so the global controller is the single rate writer;
+//     never write rates, so the cluster controller is the single rate
+//     writer;
 //   * arrivals come from the runtime's own SyntheticLoadGen sources in sink
 //     mode: every produced request lands in dispatch(), which runs the
 //     AssignmentRouter (cluster/router.hpp — the identical policy
 //     implementation the simulation validates) and submits to the chosen
 //     node's handle;
-//   * the GlobalController re-runs the paper's eq.-17 allocator one level
-//     up: it aggregates lambda estimates and exactly-once window-slowdown
-//     feedback across every alive node's shard snapshots, allocates against
-//     the ALIVE cluster capacity, and splits each class's global rate
-//     across nodes by the router's work weights (uniform for the symmetric
-//     policies, band shares under SITA-E) — holding per-class slowdown
-//     ratios cluster-wide, not merely per node.
+//   * the cluster controller is the single-node rt::Controller (rt/
+//     controller.hpp) over every node's shards, one shard group per node
+//     weighted by the router's work weights (uniform for the symmetric
+//     policies, band shares under SITA-E): it aggregates lambda estimates
+//     and exactly-once window-slowdown feedback across every alive node,
+//     allocates against the ALIVE cluster capacity, and hands each node
+//     its weighted slice — holding per-class slowdown ratios cluster-wide,
+//     not merely per node.
 //
 // Node failure is first-class: kill(node) flips the router's alive mask
-// (dispatch + rebalance both skip the corpse), freezes the node's metrics,
-// and shrinks the allocator's capacity, after which the cluster re-converges
-// — the report measures how fast (settle time, stats/convergence.hpp).
+// (dispatch skips the corpse), freezes the node's metrics, and re-weights
+// the controller's groups — the dead node's weight drops to 0, so it leaves
+// the estimates and the rate hand-out, and the allocator is rebuilt at the
+// alive capacity — after which the cluster re-converges; the report
+// measures how fast (settle time, stats/convergence.hpp).
 //
 // Like Runtime, the whole thing drives two ways: run() spawns shard/
 // generator/controller threads on the wall clock (psdcluster), step_to()
@@ -51,12 +55,13 @@ struct ClusterRtConfig {
   /// Per-node topology/workload template: shards, deltas, size dist, LOAD
   /// (per-shard utilization — total arrival rate scales with the node
   /// count), controller cadence, warmup/duration, admission, seed.  The
-  /// node-level allocator field selects the GLOBAL allocator; node
-  /// controllers themselves run rate-less (see file header).
+  /// node-level allocator field selects the cluster controller's
+  /// allocator; node controllers themselves run rate-less (see file
+  /// header).
   RtConfig node;
   std::size_t nodes = 2;
   AssignmentSpec assignment{AssignmentPolicy::kRoundRobin};
-  /// Global-controller cadence in seconds (also the stats sampling grid).
+  /// Cluster-controller cadence in seconds (also the stats sampling grid).
   /// The settle-time report quotes this as the rebalance resolution.
   double rebalance_period = 0.05;
   /// Node-failure injection: at `kill_at` seconds, `kill_node` is removed
@@ -69,58 +74,6 @@ struct ClusterRtConfig {
 
   std::size_t num_classes() const { return node.num_classes(); }
   void validate() const;
-};
-
-/// The cluster-wide reallocation loop: rt/controller.hpp's aggregation
-/// semantics applied across every alive node's shards, with the rate split
-/// delegated to the router's work weights.  tick() is synchronous and
-/// called from exactly one thread at a time (the cluster's controller
-/// thread, or the deterministic driver).
-class GlobalController {
- public:
-  struct Config {
-    std::vector<double> delta;
-    double node_capacity = 1.0;  ///< Sum of ONE node's shard capacities.
-    double mean_size = 1.0;
-    AllocatorKind allocator = AllocatorKind::kAdaptivePsd;
-    AdaptiveConfig adaptive;
-    double rho_max = 0.98;
-    double min_residual_share = 1e-3;
-  };
-
-  /// `nodes` and `router` are borrowed and must outlive the controller.
-  GlobalController(Config cfg, std::vector<RuntimeHandle*> nodes,
-                   const AssignmentRouter* router);
-
-  /// Aggregate estimates over alive nodes, reallocate against alive
-  /// capacity, push per-node rate slices.
-  void tick(Time now);
-
-  /// Re-arm after an alive-mask change: rebuilds the allocator against the
-  /// new alive capacity (the adaptive integrator restarts — re-convergence
-  /// after a kill is exactly what the settle metric measures).
-  void on_topology_change();
-
-  const std::vector<double>& rates() const { return rates_; }
-  const std::vector<double>& last_lambda() const { return lambda_; }
-  std::uint64_t ticks() const { return ticks_; }
-  std::uint64_t allocations() const { return allocations_; }
-
- private:
-  void rebuild_allocator();
-
-  Config cfg_;
-  std::vector<RuntimeHandle*> nodes_;
-  const AssignmentRouter* router_;
-  std::unique_ptr<RateAllocator> allocator_;  ///< Null for kNone.
-  /// Last window_seq seen per (node, shard, class) — the same exactly-once
-  /// feedback gate the node controller applies per (shard, class).
-  std::vector<std::uint64_t> windows_seen_;
-  std::size_t shards_per_node_;
-  std::vector<double> rates_;   ///< Global (cluster-summed) per-class rates.
-  std::vector<double> lambda_;  ///< Last aggregated arrival estimate.
-  std::uint64_t ticks_ = 0;
-  std::uint64_t allocations_ = 0;
 };
 
 struct ClusterClassReport {
@@ -164,7 +117,7 @@ struct ClusterReport {
   /// Requests stranded on killed nodes (accepted, never completed).
   std::uint64_t lost_to_kill = 0;
   double elapsed = 0.0;
-  std::uint64_t rebalances = 0;   ///< Global ticks that produced new rates.
+  std::uint64_t rebalances = 0;   ///< Controller ticks with new rates.
   std::uint64_t global_ticks = 0;
   /// Mean dispatcher cost (route + submit) in nanoseconds.  NaN under a
   /// ManualClock: timing reads would break bitwise determinism.
@@ -179,14 +132,14 @@ class ClusterRuntime {
   // --- threaded drive (SteadyClock) ---
 
   /// Spawn per-node shard threads, generator threads, and one controller
-  /// thread (node ticks + global rebalances); honor cfg.kill_at; run for
+  /// thread (node ticks + cluster rebalances); honor cfg.kill_at; run for
   /// cfg.node.duration, drain, report.  One-shot.
   ClusterReport run();
 
   // --- deterministic drive (ManualClock) ---
 
   /// Advance generators, every alive node (its shards + rate-less node
-  /// controller), and the global controller to `t` on the calling thread.
+  /// controller), and the cluster controller to `t` on the calling thread.
   /// Crossing cfg.kill_at performs the kill at exactly that time.
   void step_to(Time t);
 
@@ -206,7 +159,8 @@ class ClusterRuntime {
   std::size_t nodes() const { return handles_.size(); }
   RuntimeHandle& node(std::size_t i) { return handles_[i]; }
   const AssignmentRouter& router() const { return *router_; }
-  const GlobalController& global_controller() const { return *global_; }
+  /// The cluster's one rate controller (one shard group per node).
+  const Controller& controller() const { return *controller_; }
   const ClusterRtConfig& config() const { return cfg_; }
   ClockVariant& clock() { return clock_; }
 
@@ -217,10 +171,11 @@ class ClusterRuntime {
   /// generator thread and is part of the measured dispatch cost otherwise).
   void dispatch(const Request& req);
   void step_to_internal(Time t);
-  void global_tick(Time now);
+  /// One cluster-controller tick, then a stats sample.
+  void rebalance(Time now);
   /// Router flip (under the dispatch mutex) -> optional thread stop hook
   /// (threaded mode joins the node's shard threads here) -> metrics freeze
-  /// -> allocator re-arm -> stats event.
+  /// -> controller re-weight -> stats event.
   void do_kill(std::size_t node, const std::function<void()>& stop_node = {});
   void sample_stats(Time now);
   std::uint64_t alive_outstanding() const;
@@ -230,7 +185,7 @@ class ClusterRuntime {
   std::vector<std::unique_ptr<Runtime>> nodes_;
   std::vector<RuntimeHandle> handles_;
   std::optional<AssignmentRouter> router_;
-  std::unique_ptr<GlobalController> global_;
+  std::unique_ptr<Controller> controller_;
   std::vector<std::unique_ptr<LoadSource>> gens_;
   std::unique_ptr<obs::ClusterStatsLog> stats_;
 

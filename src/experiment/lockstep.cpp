@@ -267,7 +267,9 @@ class LockstepKernel {
         lane.gen_rng.push_back(run_rng.fork(i));
       }
       lane.arrivals = protos;
-      lane.allocator = detail::make_scenario_allocator(cfg, dist_.mean());
+      lane.allocator = make_rate_allocator(
+          cfg.allocator, detail::psd_allocator_config(cfg, dist_.mean()),
+          cfg.adaptive);
       // Server ctor: equal initial split, pushed through set_rates — which
       // under kFinishAtOldRate also primes the pending vector.
       lane.rates.assign(n_, cfg.capacity / static_cast<double>(n_));

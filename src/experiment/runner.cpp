@@ -10,11 +10,9 @@
 #include <thread>
 
 #include "baselines/pdd_policies.hpp"
-#include "baselines/static_allocators.hpp"
 #include "cluster/dispatcher.hpp"
 #include "common/error.hpp"
 #include "core/psd_allocation.hpp"
-#include "core/psd_rate_allocator.hpp"
 #include "experiment/lockstep.hpp"
 #include "experiment/scenario_build.hpp"
 #include "sched/lottery.hpp"
@@ -49,32 +47,13 @@ std::unique_ptr<SchedulerBackend> make_scenario_backend(
   PSD_UNREACHABLE("unknown backend kind");
 }
 
-std::unique_ptr<RateAllocator> make_scenario_allocator(
-    const ScenarioConfig& cfg, double mean_size) {
-  PsdAllocatorConfig pc;
-  pc.delta = cfg.delta;
-  pc.capacity = cfg.capacity;
-  pc.mean_size = mean_size;
-  pc.rho_max = cfg.rho_max;
-  pc.min_residual_share = cfg.min_residual_share;
-  switch (cfg.allocator) {
-    case AllocatorKind::kPsd:
-      return std::make_unique<PsdRateAllocator>(pc);
-    case AllocatorKind::kAdaptivePsd:
-      return std::make_unique<AdaptivePsdAllocator>(pc, cfg.adaptive);
-    case AllocatorKind::kEqualShare:
-      return std::make_unique<EqualShareAllocator>(cfg.num_classes(),
-                                                   cfg.capacity);
-    case AllocatorKind::kLoadProportional:
-      return std::make_unique<LoadProportionalAllocator>(
-          cfg.num_classes(), cfg.capacity, mean_size);
-    case AllocatorKind::kNone:
-      return nullptr;
-  }
-  PSD_UNREACHABLE("unknown allocator kind");
+// Doc comments for the detail functions live in scenario_build.hpp.
+PsdAllocatorConfig psd_allocator_config(const ScenarioConfig& cfg,
+                                        double mean_size) {
+  return {cfg.delta, cfg.capacity, mean_size, cfg.rho_max,
+          cfg.min_residual_share};
 }
 
-// Doc comments for the detail functions live in scenario_build.hpp.
 ArrivalVariant scenario_arrivals(const ScenarioConfig& cfg, double lambda,
                                  double unit) {
   if (!cfg.profile.active()) {
@@ -122,9 +101,9 @@ ServerConfig node_server_config(const ScenarioConfig& cfg, double unit) {
 
 namespace {
 
-using detail::make_scenario_allocator;
 using detail::make_scenario_backend;
 using detail::node_server_config;
+using detail::psd_allocator_config;
 using detail::scenario_arrivals;
 using detail::settle_times;
 
@@ -176,10 +155,11 @@ RunResult run_cluster_scenario(const ScenarioConfig& cfg,
                                       nodes);
   }
 
+  const PsdAllocatorConfig pc = psd_allocator_config(cfg, dist.mean());
   Cluster cluster(
       sim, nodes, node_server_config(cfg, unit),
       [&] { return make_scenario_backend(cfg, unit); },
-      [&] { return make_scenario_allocator(cfg, dist.mean()); },
+      [&] { return make_rate_allocator(cfg.allocator, pc, cfg.adaptive); },
       AssignmentSpec(cfg.cluster_policy, cfg.cluster_jsq_d),
       run_rng.fork(1000), std::move(cutoffs));
   if (cfg.admission.active()) {
@@ -261,7 +241,9 @@ RunResult run_single_node_scenario(const ScenarioConfig& cfg,
 
   Server server(sim, node_server_config(cfg, unit),
                 make_scenario_backend(cfg, unit),
-                make_scenario_allocator(cfg, dist.mean()),
+                make_rate_allocator(cfg.allocator,
+                                    psd_allocator_config(cfg, dist.mean()),
+                                    cfg.adaptive),
                 run_rng.fork(1000));
   if (cfg.admission.active()) {
     server.set_admission(

@@ -2,10 +2,32 @@
 
 #include <cstdio>
 
+#include "baselines/static_allocators.hpp"
 #include "common/error.hpp"
+#include "core/psd_rate_allocator.hpp"
 #include "dist/sampler.hpp"
 
 namespace psd {
+
+std::unique_ptr<RateAllocator> make_rate_allocator(
+    AllocatorKind kind, const PsdAllocatorConfig& pc,
+    const AdaptiveConfig& adaptive) {
+  switch (kind) {
+    case AllocatorKind::kPsd:
+      return std::make_unique<PsdRateAllocator>(pc);
+    case AllocatorKind::kAdaptivePsd:
+      return std::make_unique<AdaptivePsdAllocator>(pc, adaptive);
+    case AllocatorKind::kEqualShare:
+      return std::make_unique<EqualShareAllocator>(pc.delta.size(),
+                                                   pc.capacity);
+    case AllocatorKind::kLoadProportional:
+      return std::make_unique<LoadProportionalAllocator>(
+          pc.delta.size(), pc.capacity, pc.mean_size);
+    case AllocatorKind::kNone:
+      return nullptr;
+  }
+  PSD_UNREACHABLE("unknown allocator kind");
+}
 
 double ScenarioConfig::time_unit() const {
   return make_sampler(size_dist).mean() / capacity;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "admission/admission.hpp"
@@ -38,6 +39,12 @@ enum class AllocatorKind {
   kLoadProportional,
   kNone,              ///< Keep initial rates forever (no reallocation).
 };
+
+/// The one allocator factory (sim runner, lockstep kernel, rt controller);
+/// null for kNone.
+std::unique_ptr<RateAllocator> make_rate_allocator(
+    AllocatorKind kind, const PsdAllocatorConfig& pc,
+    const AdaptiveConfig& adaptive);
 
 struct ScenarioConfig {
   // --- classes & workload ---

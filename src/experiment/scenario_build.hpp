@@ -23,9 +23,9 @@ namespace psd::detail {
 std::unique_ptr<SchedulerBackend> make_scenario_backend(
     const ScenarioConfig& cfg, double unit);
 
-/// Rate allocator the config selects; null for AllocatorKind::kNone.
-std::unique_ptr<RateAllocator> make_scenario_allocator(
-    const ScenarioConfig& cfg, double mean_size);
+/// eq.-17 allocator parameters of one node (make_rate_allocator's input).
+PsdAllocatorConfig psd_allocator_config(const ScenarioConfig& cfg,
+                                        double mean_size);
 
 /// One class's arrival process in raw simulator time: the configured
 /// stationary shape, modulated by the scenario profile when one is set

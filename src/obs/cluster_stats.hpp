@@ -1,9 +1,9 @@
-// Cluster-level stats stream: one JSONL line per global-controller tick.
+// Cluster-level stats stream: one JSONL line per cluster-controller tick.
 //
 // The per-node exporters (obs/exporter.hpp, psd.rt.stats.v1) describe one
 // runtime from the inside; this stream describes the CLUSTER from the
 // dispatcher's seat — which nodes are alive, how arrivals were spread, what
-// per-class rates the global controller pushed where — so a rebalance or a
+// per-class rates the cluster controller pushed where — so a rebalance or a
 // node kill can be replayed offline from a single file.  Schema
 // psd.cluster.stats.v1: a header line, then sample lines, then `kill` event
 // lines interleaved at the times they happened.

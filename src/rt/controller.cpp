@@ -1,53 +1,51 @@
 #include "rt/controller.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
-#include "baselines/static_allocators.hpp"
-#include "core/psd_rate_allocator.hpp"
-
 namespace psd::rt {
 
-namespace {
-
-std::unique_ptr<RateAllocator> make_rt_allocator(const ControllerConfig& cfg) {
-  PsdAllocatorConfig pc;
-  pc.delta = cfg.delta;
-  pc.capacity = cfg.total_capacity;
-  pc.mean_size = cfg.mean_size;
-  pc.rho_max = cfg.rho_max;
-  pc.min_residual_share = cfg.min_residual_share;
-  switch (cfg.allocator) {
-    case AllocatorKind::kPsd:
-      return std::make_unique<PsdRateAllocator>(pc);
-    case AllocatorKind::kAdaptivePsd:
-      return std::make_unique<AdaptivePsdAllocator>(pc, cfg.adaptive);
-    case AllocatorKind::kEqualShare:
-      return std::make_unique<EqualShareAllocator>(cfg.delta.size(),
-                                                   cfg.total_capacity);
-    case AllocatorKind::kLoadProportional:
-      return std::make_unique<LoadProportionalAllocator>(
-          cfg.delta.size(), cfg.total_capacity, cfg.mean_size);
-    case AllocatorKind::kNone:
-      return nullptr;
+Controller::Controller(ControllerConfig cfg,
+                       std::vector<std::vector<Shard*>> groups,
+                       std::vector<double> weights)
+    : cfg_(std::move(cfg)), groups_(std::move(groups)) {
+  const std::size_t n = cfg_.psd.delta.size();
+  PSD_REQUIRE(n >= 1 && n <= kMaxRtClasses,
+              "controller supports 1..kMaxRtClasses classes");
+  for (const auto& group : groups_) {
+    PSD_REQUIRE(!group.empty(), "controller group needs at least one shard");
+    windows_seen_.emplace_back(group.size() * n, 0);
   }
-  PSD_UNREACHABLE("unknown allocator kind");
+  // Until the first warm tick, every shard runs its initial (equal) split.
+  rates_.assign(n, cfg_.psd.capacity * static_cast<double>(groups_.size()) /
+                       static_cast<double>(n));
+  set_weights(std::move(weights));
+  prof_.set_enabled(cfg_.profile);
 }
 
-}  // namespace
+void Controller::set_weights(std::vector<double> weights) {
+  PSD_REQUIRE(weights.size() == groups_.size(), "one weight per group");
+  for (const double w : weights) {
+    PSD_REQUIRE(w >= 0.0 && std::isfinite(w), "group weights must be >= 0");
+  }
+  weights_ = std::move(weights);
+  const auto live = std::count_if(weights_.begin(), weights_.end(),
+                                  [](double w) { return w > 0.0; });
+  PSD_REQUIRE(live > 0, "controller needs a live group");
+  PsdAllocatorConfig pc = cfg_.psd;
+  pc.capacity = cfg_.psd.capacity * static_cast<double>(live);
+  allocator_ = make_rate_allocator(cfg_.allocator, pc, cfg_.adaptive);
+}
 
-Controller::Controller(ControllerConfig cfg, std::vector<Shard*> shards)
-    : cfg_(std::move(cfg)),
-      shards_(std::move(shards)),
-      allocator_(make_rt_allocator(cfg_)) {
-  PSD_REQUIRE(!shards_.empty(), "controller needs at least one shard");
-  PSD_REQUIRE(!cfg_.delta.empty() && cfg_.delta.size() <= kMaxRtClasses,
-              "controller supports 1..kMaxRtClasses classes");
-  windows_seen_.assign(shards_.size() * cfg_.delta.size(), 0);
-  // Until the first warm tick, every shard runs its initial (equal) split.
-  rates_.assign(cfg_.delta.size(),
-                cfg_.total_capacity / static_cast<double>(cfg_.delta.size()));
-  prof_.set_enabled(cfg_.profile);
+std::vector<double> Controller::slice(const std::vector<double>& global,
+                                      std::size_t g) const {
+  const double inv_shards = 1.0 / static_cast<double>(groups_[g].size());
+  std::vector<double> out(global.size());
+  for (std::size_t c = 0; c < global.size(); ++c) {
+    out[c] = global[c] * weights_[g] * inv_shards;
+  }
+  return out;
 }
 
 std::vector<ControllerTraceEntry> Controller::trace_since(
@@ -67,32 +65,36 @@ std::string Controller::allocator_name() const {
 
 void Controller::tick(Time now) {
   obs::ScopedProfTimer prof_tick(&prof_, obs::kProfControllerTick);
-  const std::size_t n = cfg_.delta.size();
+  const std::size_t n = cfg_.psd.delta.size();
   std::vector<double> lambda(n, 0.0);
   std::vector<double> offered(n, 0.0);
   std::uint64_t windows_total = 0;
   std::vector<double> sd_sum(n, 0.0);
   std::vector<std::uint32_t> sd_cnt(n, 0);
   bool fresh_window = false;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const ShardSnapshot snap = shards_[i]->snapshot();
-    windows_total += snap.windows_closed;
-    for (std::size_t c = 0; c < n; ++c) {
-      lambda[c] += snap.lambda_hat[c];
-      offered[c] += snap.offered_lambda[c];
-      // Slowdown feedback only from classes whose metrics window actually
-      // advanced since this controller last looked: ticks and shard window
-      // rolls are not phase-locked (and windows close lazily, on the first
-      // completion past the boundary), so gating on the per-class sequence
-      // number is what makes the adaptive integrator see each window once —
-      // not once per tick, and not again during a completion lull.
-      std::uint64_t& seen = windows_seen_[i * n + c];
-      const bool advanced = snap.window_seq[c] > seen;
-      seen = snap.window_seq[c];
-      if (advanced && std::isfinite(snap.window_slowdown[c])) {
-        sd_sum[c] += snap.window_slowdown[c];
-        ++sd_cnt[c];
-        fresh_window = true;
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    if (weights_[g] == 0.0) continue;  // Dead group.
+    for (std::size_t s = 0; s < groups_[g].size(); ++s) {
+      const ShardSnapshot snap = groups_[g][s]->snapshot();
+      windows_total += snap.windows_closed;
+      for (std::size_t c = 0; c < n; ++c) {
+        lambda[c] += snap.lambda_hat[c];
+        offered[c] += snap.offered_lambda[c];
+        // Slowdown feedback only from classes whose metrics window actually
+        // advanced since this controller last looked: ticks and shard
+        // window rolls are not phase-locked (and windows close lazily, on
+        // the first completion past the boundary), so gating on the
+        // per-class sequence number is what makes the adaptive integrator
+        // see each window once — not once per tick, and not again during a
+        // completion lull.
+        std::uint64_t& seen = windows_seen_[g][s * n + c];
+        const bool advanced = snap.window_seq[c] > seen;
+        seen = snap.window_seq[c];
+        if (advanced && std::isfinite(snap.window_slowdown[c])) {
+          sd_sum[c] += snap.window_slowdown[c];
+          ++sd_cnt[c];
+          fresh_window = true;
+        }
       }
     }
   }
@@ -104,17 +106,16 @@ void Controller::tick(Time now) {
   // Admission update cadence: once per estimation window (some shard's
   // estimator rolled since the last staged update), not once per tick —
   // gate decisions latch between windows, mirroring the allocator.  Each
-  // shard's gate is sized at shard capacity, so it receives the per-shard
-  // slice of the aggregated offered view.
+  // shard's gate is sized at shard capacity, so it receives its slice of
+  // the aggregated offered view.
   if (cfg_.admission && windows_total > admission_windows_seen_) {
     admission_windows_seen_ = windows_total;
-    const double inv_shards = 1.0 / static_cast<double>(shards_.size());
-    std::vector<double> offered_slice(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      offered_slice[c] = offered[c] * inv_shards;
-    }
-    for (Shard* shard : shards_) {
-      shard->stage_admission_update(offered_slice);
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      if (weights_[g] == 0.0) continue;
+      const std::vector<double> offered_slice = slice(offered, g);
+      for (Shard* shard : groups_[g]) {
+        shard->stage_admission_update(offered_slice);
+      }
     }
   }
 
@@ -143,12 +144,13 @@ void Controller::tick(Time now) {
     }
     ++allocations_;
     trace_entry.reallocated = true;
-    const double inv_shards = 1.0 / static_cast<double>(shards_.size());
-    std::vector<double> slice(n);
-    for (std::size_t c = 0; c < n; ++c) slice[c] = rates_[c] * inv_shards;
     // Stamp the handoff with this tick so spans admitted under these rates
     // name the allocation that governed them.
-    for (Shard* shard : shards_) shard->apply_rates(slice, ticks_);
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      if (weights_[g] == 0.0) continue;
+      const std::vector<double> rate_slice = slice(rates_, g);
+      for (Shard* shard : groups_[g]) shard->apply_rates(rate_slice, ticks_);
+    }
   }
   if (cfg_.trace) {
     for (std::size_t c = 0; c < n; ++c) trace_entry.rate_out[c] = rates_[c];

@@ -1,16 +1,20 @@
 // The runtime's reallocation loop, lifted out of the simulated server and
-// onto its own (wall-clock) cadence.
+// onto its own (wall-clock) cadence — the one rate controller of both the
+// single-node Runtime and the multi-node ClusterRuntime.
 //
-// Every tick the controller reads each shard's seqlock snapshot — live
-// LoadEstimator arrival rates plus last-window slowdowns — aggregates them
-// into a cluster-wide view, re-runs the PSD rate allocator (eq. 17, or its
-// adaptive feedback extension) against the TOTAL capacity, and hands each
-// shard an equal slice of the result.  Slices are equal because the load
-// generators spray classes round-robin across shards, so per-shard class
-// mixes converge to the global mix; shard imbalance beyond that is exactly
-// the kind of scenario the rt runtime exists to expose.
+// The controller steers a list of shard GROUPS, each with a weight: a
+// Runtime is one group of weight 1.0; a cluster is one group per node,
+// weighted by the router's work share.  Every tick it reads each live
+// shard's seqlock snapshot — live LoadEstimator arrival rates plus
+// last-window slowdowns — aggregates them into one view, re-runs the PSD
+// rate allocator (eq. 17, or its adaptive feedback extension) against the
+// live capacity, and hands group g's shards the slice rate * w[g] / shards.
+// Slices within a group are equal because classes are sprayed round-robin
+// across its shards, so per-shard class mixes converge to the group's mix.
+// A group of weight 0 is dead: it neither feeds the estimates nor receives
+// rates.
 //
-// tick() is plain and synchronous: the threaded Runtime calls it from a
+// tick() is plain and synchronous: the threaded drivers call it from a
 // periodic thread, deterministic tests call it directly under a ManualClock.
 #pragma once
 
@@ -26,15 +30,13 @@
 namespace psd::rt {
 
 struct ControllerConfig {
-  std::vector<double> delta;
-  double total_capacity = 1.0;  ///< Sum of shard capacities (work/sec).
-  double mean_size = 1.0;       ///< E[X] of the service-time distribution.
   AllocatorKind allocator = AllocatorKind::kAdaptivePsd;
+  /// Allocator parameters; `capacity` is ONE group's summed shard capacity
+  /// (work/sec) — the allocator runs at capacity x live groups.
+  PsdAllocatorConfig psd;
   AdaptiveConfig adaptive;
-  double rho_max = 0.98;
-  double min_residual_share = 1e-3;
   /// Shards carry admission gates: aggregate their OFFERED-load estimates
-  /// each tick and stage a cluster-wide per-shard update (shards call
+  /// each tick and stage a per-shard slice of them (shards call
   /// gate->update() on their own threads) once per estimation window.
   bool admission = false;
   /// Record a per-tick decision trace (obs layer); bounded ring below.
@@ -73,12 +75,19 @@ struct ControllerSnapshot {
 
 class Controller {
  public:
-  /// `shards` are borrowed and must outlive the controller.
-  Controller(ControllerConfig cfg, std::vector<Shard*> shards);
+  /// `groups` of shards are borrowed and must outlive the controller;
+  /// `weights` holds one weight per group (see set_weights).
+  Controller(ControllerConfig cfg, std::vector<std::vector<Shard*>> groups,
+             std::vector<double> weights);
 
-  /// Aggregate estimates, reallocate, push rates to every shard.  Called
-  /// from exactly one thread at a time.
+  /// Aggregate estimates, reallocate, push rates to every live shard.
+  /// Called from exactly one thread at a time.
   void tick(Time now);
+
+  /// Re-weight the groups (weight 0 = dead) and rebuild the allocator at
+  /// the live capacity: the adaptive integrator restarts from the
+  /// stationary eq.-17 point.  Same thread as tick().
+  void set_weights(std::vector<double> weights);
 
   /// Any thread.
   ControllerSnapshot snapshot() const { return snap_.read(); }
@@ -94,16 +103,22 @@ class Controller {
   obs::ProfTable& prof() { return prof_; }
 
  private:
+  /// Per-shard slice of a global per-class vector for group `g`.
+  std::vector<double> slice(const std::vector<double>& global,
+                            std::size_t g) const;
+
   ControllerConfig cfg_;
-  std::vector<Shard*> shards_;
+  std::vector<std::vector<Shard*>> groups_;
+  std::vector<double> weights_;
   std::unique_ptr<RateAllocator> allocator_;  ///< Null for kNone.
-  /// Last window_seq seen, per (shard, class) — feedback from a class is
-  /// integrated only when its metrics window genuinely advanced.
-  std::vector<std::uint64_t> windows_seen_;
-  /// Sum of shard estimator windows_closed at the last staged admission
-  /// update — gate decisions latch per estimation window, not per tick.
+  /// Last window_seq seen, per group and (shard, class) — feedback from a
+  /// class is integrated only when its metrics window genuinely advanced.
+  std::vector<std::vector<std::uint64_t>> windows_seen_;
+  /// Sum of live shards' estimator windows_closed at the last staged
+  /// admission update — gate decisions latch per estimation window, not per
+  /// tick.
   std::uint64_t admission_windows_seen_ = 0;
-  std::vector<double> rates_;                 ///< Global (summed) rates.
+  std::vector<double> rates_;  ///< Global rates (all groups together).
   std::uint64_t ticks_ = 0;
   std::uint64_t allocations_ = 0;
   Seqlock<ControllerSnapshot> snap_;

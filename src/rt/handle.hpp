@@ -4,21 +4,21 @@
 // the thread lifecycle that drives it.  Everything that wants to EMBED a
 // runtime (the cluster dispatcher treating it as one node of many,
 // deterministic tests injecting hand-built arrivals, psdserved as the 1-node
-// special case) needs only the first concern, behind four verbs:
+// special case) needs only the first concern, behind three verbs:
 //
 //   submit()    — inject one request (per-class round-robin over the shards,
 //                 the same spray discipline the internal load sources use, so
 //                 per-shard class mixes stay aligned with the global mix),
 //   snapshot()  — read the seqlock-published per-shard state,
-//   set_rates() — stage a GLOBAL per-class rate vector (split equally across
-//                 shards, exactly like the node controller's handoff),
 //   drain()     — advance every shard to `now` on the calling thread.
+//
+// Rates are not a handle verb: a cluster steers its nodes' shards through
+// one rt::Controller (rt/controller.hpp) with a shard group per node.
 //
 // The handle is a non-owning view: it borrows the Runtime and adds only the
 // round-robin cursors.  Thread discipline mirrors the components it fronts —
 // submit() from one dispatcher thread at a time (the cursors are plain
-// integers), set_rates() from one controller thread, drain() from the shard
-// owner; snapshot readers are free.
+// integers), drain() from the shard owner; snapshot readers are free.
 #pragma once
 
 #include <vector>
@@ -49,18 +49,6 @@ class RuntimeHandle {
       out.push_back(rt_->shard(i).snapshot());
     }
     return out;
-  }
-
-  /// Stage a GLOBAL per-class rate vector: each shard receives an equal
-  /// slice and adopts it at its next drain.  `tick_seq` stamps request spans
-  /// with the allocation that governed them (see Shard::apply_rates).
-  void set_rates(const std::vector<double>& rates, std::uint64_t tick_seq) {
-    std::vector<double> slice(rates.size());
-    const double inv = 1.0 / static_cast<double>(rt_->num_shards());
-    for (std::size_t c = 0; c < rates.size(); ++c) slice[c] = rates[c] * inv;
-    for (std::size_t i = 0; i < rt_->num_shards(); ++i) {
-      rt_->shard(i).apply_rates(slice, tick_seq);
-    }
   }
 
   /// Advance every shard's embedded simulator to `now` and ingest its

@@ -5,7 +5,9 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "dist/sampler.hpp"
 #include "stats/convergence.hpp"
@@ -33,6 +35,11 @@ double RtConfig::shard_capacity() const {
   return make_sampler(size_dist).mean() / mean_service_seconds;
 }
 
+PsdAllocatorConfig RtConfig::psd_allocator_config() const {
+  return {delta, shard_capacity() * static_cast<double>(shards),
+          make_sampler(size_dist).mean(), rho_max, min_residual_share};
+}
+
 std::vector<double> RtConfig::lambdas() const {
   std::vector<double> share = load_share;
   if (share.empty()) {
@@ -51,8 +58,26 @@ std::vector<double> RtConfig::lambdas() const {
 void RtConfig::validate() const {
   PSD_REQUIRE(!delta.empty() && delta.size() <= kMaxRtClasses,
               "need 1..kMaxRtClasses classes");
+  // Range checks below let inf (and some let NaN) through: an infinite
+  // duration never ends, an infinite period silently disables the loop.
+  const std::pair<const char*, double> reals[] = {
+      {"load", load}, {"converge_tol", converge_tol},
+      {"mean_service_seconds", mean_service_seconds},
+      {"controller_period", controller_period},
+      {"adaptive gain", adaptive.gain},
+      {"adaptive max_correction", adaptive.max_correction},
+      {"adaptive smoothing", adaptive.smoothing}, {"rho_max", rho_max},
+      {"min_residual_share", min_residual_share}, {"warmup", warmup},
+      {"duration", duration}, {"bucket_burst_seconds", bucket_burst_seconds},
+      {"burstiness", arrivals.burstiness}, {"sojourn", arrivals.sojourn},
+      {"duty", arrivals.duty}, {"stats_interval", obs.stats_interval},
+      {"slo_cooldown", obs.slo_cooldown}};
+  for (const auto& [name, v] : reals) {
+    PSD_REQUIRE(std::isfinite(v), std::string(name) + " must be finite");
+  }
   for (std::size_t i = 0; i < delta.size(); ++i) {
-    PSD_REQUIRE(delta[i] > 0.0, "delta must be positive");
+    PSD_REQUIRE(delta[i] > 0.0 && std::isfinite(delta[i]),
+                "delta must be positive and finite");
     if (i > 0) {
       PSD_REQUIRE(delta[i] >= delta[i - 1], "delta must be non-decreasing");
     }
@@ -133,22 +158,20 @@ std::vector<Shard*> Runtime::shard_ptrs() {
 SamplerVariant Runtime::init_topology() {
   cfg_.validate();
   const SamplerVariant sampler = make_sampler(cfg_.size_dist);
-  const double capacity = cfg_.shard_capacity();
-  build_shards(capacity);
+  build_shards(cfg_.shard_capacity());
 
   ControllerConfig cc;
-  cc.delta = cfg_.delta;
-  cc.total_capacity = capacity * static_cast<double>(cfg_.shards);
-  cc.mean_size = sampler.mean();
   cc.allocator = cfg_.allocator;
+  cc.psd = cfg_.psd_allocator_config();
   cc.adaptive = cfg_.adaptive;
-  cc.rho_max = cfg_.rho_max;
-  cc.min_residual_share = cfg_.min_residual_share;
   cc.admission = cfg_.admission.active();
   cc.trace = cfg_.obs.enabled;
   cc.trace_capacity = cfg_.obs.trace_capacity;
   cc.profile = cfg_.obs.profile;
-  controller_ = std::make_unique<Controller>(std::move(cc), shard_ptrs());
+  // One group of weight 1: the whole runtime.
+  controller_ = std::make_unique<Controller>(
+      std::move(cc), std::vector<std::vector<Shard*>>{shard_ptrs()},
+      std::vector<double>{1.0});
   return sampler;
 }
 

@@ -82,6 +82,8 @@ struct RtConfig {
   std::size_t num_classes() const { return delta.size(); }
   /// Work units per second per shard.
   double shard_capacity() const;
+  /// eq.-17 allocator parameters of one node (all shards together).
+  PsdAllocatorConfig psd_allocator_config() const;
   /// TOTAL per-class arrival rates (requests/sec across all shards).
   std::vector<double> lambdas() const;
   void validate() const;
@@ -193,6 +195,7 @@ class Runtime {
   std::uint64_t total_outstanding() const;
   std::size_t num_shards() const { return shards_.size(); }
   Shard& shard(std::size_t i) { return *shards_[i]; }
+  std::vector<Shard*> shard_ptrs();
   const Controller& controller() const { return *controller_; }
   Controller& controller_mut() { return *controller_; }
   const RtConfig& config() const { return cfg_; }
@@ -209,7 +212,6 @@ class Runtime {
   SamplerVariant init_topology();
   void build_shards(double shard_capacity);
   void init_exporter();
-  std::vector<Shard*> shard_ptrs();
 
   RtConfig cfg_;
   ClockVariant clock_;

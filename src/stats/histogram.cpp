@@ -97,59 +97,4 @@ double LogHistogram::quantile(double q) const {
   return max_seen_;
 }
 
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), min_seen_(kInf), max_seen_(-kInf) {
-  PSD_REQUIRE(hi > lo, "LinearHistogram needs lo < hi");
-  PSD_REQUIRE(bins > 0, "bins must be positive");
-  width_ = (hi - lo) / static_cast<double>(bins);
-  counts_.assign(bins, 0);
-}
-
-void LinearHistogram::add(double x) {
-  ++total_;
-  min_seen_ = std::min(min_seen_, x);
-  max_seen_ = std::max(max_seen_, x);
-  if (!(x >= lo_)) {
-    ++underflow_;
-    return;
-  }
-  const double pos = (x - lo_) / width_;
-  if (pos >= static_cast<double>(counts_.size())) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[static_cast<std::size_t>(pos)];
-}
-
-void LinearHistogram::merge(const LinearHistogram& other) {
-  PSD_REQUIRE(lo_ == other.lo_ && width_ == other.width_ &&
-                  counts_.size() == other.counts_.size(),
-              "LinearHistogram::merge requires an identical bin layout");
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  total_ += other.total_;
-  min_seen_ = std::min(min_seen_, other.min_seen_);
-  max_seen_ = std::max(max_seen_, other.max_seen_);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-}
-
-double LinearHistogram::quantile(double q) const {
-  PSD_REQUIRE(q >= 0.0 && q <= 1.0, "quantile in [0,1]");
-  if (total_ == 0) return kNaN;
-  const double target = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (target <= cum) return min_seen_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (target <= next && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return lo_ + width_ * (static_cast<double>(i) + frac);
-    }
-    cum = next;
-  }
-  return max_seen_;
-}
-
 }  // namespace psd

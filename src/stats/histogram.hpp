@@ -1,8 +1,7 @@
-// Fixed-layout histograms with quantile queries.
+// Fixed-layout histogram with quantile queries.
 //
 // LogHistogram matches the dynamic range of slowdown data (the paper plots
-// slowdowns on log axes spanning 1..1000); LinearHistogram serves bounded
-// quantities such as utilization.
+// slowdowns on log axes spanning 1..1000).
 #pragma once
 
 #include <cstdint>
@@ -46,26 +45,6 @@ class LogHistogram {
   /// add_fast's bin map precomputed as one multiply-subtract:
   /// pos = log2(x) * fast_scale_ - fast_offset_ (division-free).
   double fast_scale_ = 0.0, fast_offset_ = 0.0;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-  double min_seen_, max_seen_;
-  std::vector<std::uint64_t> counts_;
-};
-
-/// Histogram with equal-width bins on [lo, hi].
-class LinearHistogram {
- public:
-  LinearHistogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::uint64_t count() const { return total_; }
-  /// Fold `other` in; identical [lo, hi]/bins layout required.
-  void merge(const LinearHistogram& other);
-  double quantile(double q) const;
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_[i]; }
-
- private:
-  double lo_, width_;
   std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
   double min_seen_, max_seen_;
   std::vector<std::uint64_t> counts_;

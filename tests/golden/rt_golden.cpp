@@ -187,12 +187,11 @@ void run_cluster(const std::string& p, const ClusterRtConfig& cfg) {
     print_rt(q, r.node[i].rt);
     print_shards(q, cluster.node(i).runtime());
   }
-  const GlobalController& g = cluster.global_controller();
-  put(p + "global.ticks", g.ticks());
-  put(p + "global.allocations", g.allocations());
-  put_rates(p + "global.lambda", g.last_lambda().data(),
-            g.last_lambda().size());
-  put_rates(p + "global.rate", g.rates().data(), g.rates().size());
+  const ControllerSnapshot g = cluster.controller().snapshot();
+  put(p + "global.ticks", g.ticks);
+  put(p + "global.allocations", g.allocations);
+  put_rates(p + "global.lambda", g.lambda, g.num_classes);
+  put_rates(p + "global.rate", g.rate, g.num_classes);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // ClusterRuntime (src/cluster/cluster_runtime.*): the multi-node serving
 // tier under a ManualClock — bitwise determinism, dispatch accounting, the
-// global controller holding cluster-wide slowdown ratios, and node-kill
+// cluster controller holding cluster-wide slowdown ratios, and node-kill
 // re-convergence.
 //
 // Manual steps run at the inter-arrival timescale (0.2ms): coarser steps
@@ -159,6 +159,22 @@ TEST(ClusterRt, KillRejectsBadSchedules) {
   cfg.kill_node = 0;
   cfg.kill_at = 99.0;  // past the end of the run
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // Negative means "never", but NaN must not silently mean the same.
+  cfg.kill_at = kNaN;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.kill_at = -1.0;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.rebalance_period = kInf;  // would silently disable the controller
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.rebalance_period = kNaN;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.rebalance_period = 0.05;
+  cfg.node.duration = kInf;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // A dead SITA-E node's band lands on a survivor beyond its capacity.
+  auto sita = base_cfg({AssignmentPolicy::kSizeInterval});
+  sita.kill_at = 1.0;
+  EXPECT_THROW(sita.validate(), std::invalid_argument);
 }
 
 TEST(ClusterRt, SingleNodeClusterMatchesConfigValidation) {

@@ -1,4 +1,4 @@
-// Log / linear histograms: binning, quantiles, overflow handling.
+// Log histograms: binning, quantiles, overflow handling.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -89,60 +89,6 @@ TEST(LogHistogram, MergeRejectsLayoutMismatch) {
   LogHistogram c(1.0, 1000.0, 20);   // different lower bound
   EXPECT_THROW(a.merge(b), std::invalid_argument);
   EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(LinearHistogram, MergeMatchesSingleCollectorExactly) {
-  Rng rng(12);
-  LinearHistogram ground(0.0, 1.0, 50);
-  LinearHistogram lo(0.0, 1.0, 50);
-  LinearHistogram hi(0.0, 1.0, 50);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.uniform(-0.1, 1.1);  // spills both ends
-    ground.add(x);
-    (x < 0.5 ? lo : hi).add(x);
-  }
-  LinearHistogram merged = lo;
-  merged.merge(hi);
-  ASSERT_EQ(merged.count(), ground.count());
-  for (std::size_t i = 0; i < ground.bin_count(); ++i) {
-    EXPECT_EQ(merged.bin(i), ground.bin(i)) << "bin " << i;
-  }
-  for (double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    EXPECT_DOUBLE_EQ(merged.quantile(q), ground.quantile(q)) << "q=" << q;
-  }
-}
-
-TEST(LinearHistogram, MergeRejectsLayoutMismatch) {
-  LinearHistogram a(0.0, 1.0, 10);
-  LinearHistogram b(0.0, 2.0, 10);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(LinearHistogram, RejectsBadConfig) {
-  EXPECT_THROW(LinearHistogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(LinearHistogram, QuantileAccuracyOnUniform) {
-  Rng rng(8);
-  LinearHistogram h(0.0, 1.0, 100);
-  for (int i = 0; i < 100000; ++i) h.add(rng.uniform01());
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(h.quantile(0.1), 0.1, 0.02);
-}
-
-TEST(LinearHistogram, QuantileBoundsInvalid) {
-  LinearHistogram h(0.0, 1.0, 4);
-  h.add(0.5);
-  EXPECT_THROW(h.quantile(1.5), std::invalid_argument);
-  EXPECT_THROW(h.quantile(-0.1), std::invalid_argument);
-}
-
-TEST(LinearHistogram, NaNGoesToUnderflowBucket) {
-  LinearHistogram h(0.0, 1.0, 4);
-  h.add(std::nan(""));
-  EXPECT_EQ(h.count(), 1u);
 }
 
 }  // namespace

@@ -196,11 +196,11 @@ TEST(Controller, ColdStartKeepsEqualSplitThenMatchesEq17) {
   ShardConfig cfg = two_class_config();
   Shard shard(cfg, Rng(1));
   ControllerConfig cc;
-  cc.delta = {1.0, 2.0};
-  cc.total_capacity = 1.0;
-  cc.mean_size = 0.01;
+  cc.psd.delta = {1.0, 2.0};
+  cc.psd.capacity = 1.0;
+  cc.psd.mean_size = 0.01;
   cc.allocator = AllocatorKind::kPsd;
-  Controller controller(cc, {&shard});
+  Controller controller(cc, {{&shard}}, {1.0});
 
   // Cold: no estimator window closed yet -> no reallocation.
   controller.tick(0.5);
@@ -220,9 +220,9 @@ TEST(Controller, ColdStartKeepsEqualSplitThenMatchesEq17) {
 
   PsdInput in;
   in.lambda = {30.0, 10.0};
-  in.delta = cc.delta;
-  in.mean_size = cc.mean_size;
-  in.capacity = cc.total_capacity;
+  in.delta = cc.psd.delta;
+  in.mean_size = cc.psd.mean_size;
+  in.capacity = cc.psd.capacity;
   in.overload = OverloadPolicy::kClamp;
   const auto expected = allocate_psd_rates(in);
   const ControllerSnapshot snap = controller.snapshot();
@@ -346,6 +346,28 @@ TEST(RtConfig, ValidatesInputs) {
   cfg = RtConfig{};
   cfg.load_share = {0.9, 0.3};  // sums to 1.2
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // Non-finite settings: an infinite duration never ends, an infinite
+  // period silently turns the controller off.
+  for (const double bad : {kInf, -kInf, kNaN}) {
+    cfg = RtConfig{};
+    cfg.duration = bad;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    cfg = RtConfig{};
+    cfg.controller_period = bad;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    cfg = RtConfig{};
+    cfg.mean_service_seconds = bad;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    cfg = RtConfig{};
+    cfg.warmup = bad;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    cfg = RtConfig{};
+    cfg.delta = {1.0, bad};
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    cfg = RtConfig{};
+    cfg.bucket_burst_seconds = bad;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
 // psdcluster — multi-node PSD serving cluster (src/cluster + src/rt).
 //
 //   psdcluster --nodes 4 --policy jsq2 --classes 1,2 --load 0.6
-//   psdcluster --cluster 4:sita --kill-node 3 --kill-at 1.5 --duration 4
+//   psdcluster --cluster 4:jsq2 --kill-node 3 --kill-at 1.5 --duration 4
 //   psdcluster --nodes 4 --policy sita --check 0.15       (CI smoke)
 //
 // N in-process serving runtimes (each with its own shards and seqlock
 // snapshots) behind one dispatcher running the task-assignment policies the
-// simulator validates, steered by a GLOBAL controller that re-runs the
-// paper's eq.-17 allocator against the alive cluster capacity and splits
-// the rates across nodes — holding per-class slowdown ratios cluster-wide,
-// including through a mid-run node kill.
+// simulator validates, steered by one rt::Controller over every node's
+// shards that re-runs the paper's eq.-17 allocator against the alive
+// cluster capacity and splits the rates across nodes — holding per-class
+// slowdown ratios cluster-wide, including through a mid-run node kill.
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
