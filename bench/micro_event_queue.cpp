@@ -1,19 +1,13 @@
-// Microbenchmark M2: event-queue throughput, before vs after the pooled
-// rewrite, from one binary so the ratio is apples-to-apples.
-//
-//   * legacy — the seed design kept as a bench-only reference
-//     (legacy_event_queue.hpp): binary heap of fat entries, std::function
-//     payloads (heap-allocates for captures > its ~16-byte SSO buffer),
-//     one shared_ptr<bool> per cancellable event.
-//   * pooled — the current core: slab payload pool, 4-ary heap of 24-byte
-//     keys, generation-counted handles, zero steady-state allocations.
+// Microbenchmark M2: event-queue throughput of the pooled core (slab
+// payload pool, 4-ary heap of 24-byte keys, generation-counted handles,
+// zero steady-state allocations).  Records keep "impl":"pooled"; the seed
+// design's "legacy" rows it was measured against stay on record in the
+// committed BENCH_event_core.json.
 //
 // Benches:
-//   schedule_pop_empty      captureless payloads — isolates the heap/layout
-//                           difference (legacy's SSO avoids allocation too).
+//   schedule_pop_empty      captureless payloads — the heap/layout cost.
 //   schedule_pop_completion 24-byte captures, the size of a real completion
-//                           callback ([this, cls, ran]) — legacy pays one
-//                           malloc/free per event here.
+//                           callback ([this, cls, ran]).
 //   cancellable             completion-sized capture + cancellation token.
 //   hot_path_mix            the per-request pattern of the real simulator at
 //                           a realistic pending-set size: one cancellable
@@ -28,7 +22,6 @@
 
 #include "common/rng.hpp"
 #include "json_bench.hpp"
-#include "legacy_event_queue.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -40,13 +33,11 @@ using psd::bench::min_ns_per_op;
 // warmup pass, so records stay comparable across PRs.
 constexpr std::uint64_t kIters = 500'000;
 constexpr int kRepeats = 5;
+const std::string kImpl = "\"impl\":\"pooled\"";
 
 // One op: schedule one captureless event, pop the earliest.
-template <typename Queue>
-double bench_schedule_pop_empty(const std::string& impl,
-                                const std::string& path,
-                                std::size_t backlog) {
-  Queue q;
+void bench_schedule_pop_empty(const std::string& path, std::size_t backlog) {
+  psd::EventQueue q;
   psd::Rng rng(1);
   double t = 0.0;
   for (std::size_t i = 0; i < backlog; ++i) {
@@ -58,19 +49,15 @@ double bench_schedule_pop_empty(const std::string& impl,
     return t;
   });
   emit_record(path, "event_queue", "schedule_pop_empty",
-              "\"impl\":\"" + impl +
-                  "\",\"backlog\":" + std::to_string(backlog),
-              ns, kIters);
-  return ns;
+              kImpl + ",\"backlog\":" + std::to_string(backlog), ns,
+              kIters);
 }
 
 // One op: schedule an event whose payload captures 24 bytes (pointer + two
 // scalars — a completion callback), pop the earliest.
-template <typename Queue>
-double bench_schedule_pop_completion(const std::string& impl,
-                                     const std::string& path,
-                                     std::size_t backlog) {
-  Queue q;
+void bench_schedule_pop_completion(const std::string& path,
+                                   std::size_t backlog) {
+  psd::EventQueue q;
   psd::Rng rng(2);
   double t = 0.0, acc = 0.0;
   double* sink = &acc;
@@ -87,18 +74,14 @@ double bench_schedule_pop_completion(const std::string& impl,
     return t;
   });
   emit_record(path, "event_queue", "schedule_pop_completion",
-              "\"impl\":\"" + impl +
-                  "\",\"backlog\":" + std::to_string(backlog),
-              ns, kIters);
-  return ns;
+              kImpl + ",\"backlog\":" + std::to_string(backlog), ns,
+              kIters);
 }
 
-// One op: cancellable schedule (token allocation on the legacy path, slab
-// slot on the pooled path) with a completion-sized capture, then pop.
-template <typename Queue>
-double bench_cancellable(const std::string& impl, const std::string& path,
-                         std::size_t backlog) {
-  Queue q;
+// One op: cancellable schedule (a slab slot) with a completion-sized
+// capture, then pop.
+void bench_cancellable(const std::string& path, std::size_t backlog) {
+  psd::EventQueue q;
   psd::Rng rng(3);
   double t = 0.0, acc = 0.0;
   double* sink = &acc;
@@ -115,19 +98,15 @@ double bench_cancellable(const std::string& impl, const std::string& path,
     return t + alive;
   });
   emit_record(path, "event_queue", "cancellable",
-              "\"impl\":\"" + impl +
-                  "\",\"backlog\":" + std::to_string(backlog),
-              ns, kIters);
-  return ns;
+              kImpl + ",\"backlog\":" + std::to_string(backlog), ns,
+              kIters);
 }
 
 // One op: schedule a cancellable + a fast event (completion-sized captures),
 // cancel the first, pop one.  Half of all scheduled events die before firing
-// — the dedicated-rate backend's reallocation churn.  On the legacy path
-// every op pays two std::function allocations plus one make_shared.
-template <typename Queue>
-double bench_cancel_heavy(const std::string& impl, const std::string& path) {
-  Queue q;
+// — the dedicated-rate backend's reallocation churn.
+double bench_cancel_heavy(const std::string& path) {
+  psd::EventQueue q;
   psd::Rng rng(5);
   double t = 0.0, acc = 0.0;
   double* sink = &acc;
@@ -142,7 +121,7 @@ double bench_cancel_heavy(const std::string& impl, const std::string& path) {
     return t;
   });
   emit_record(path, "event_queue", "cancel_heavy",
-              "\"impl\":\"" + impl + "\"", ns, kIters);
+              kImpl, ns, kIters);
   return ns;
 }
 
@@ -154,10 +133,8 @@ double bench_cancel_heavy(const std::string& impl, const std::string& path) {
 //      (the dedicated-rate backend's set_rates pattern),
 //   3. one fast event (timer tick),
 //   4. pop three events to keep the set in steady state.
-template <typename Queue>
-double bench_hot_path_mix(const std::string& impl, const std::string& path,
-                          std::size_t backlog) {
-  Queue q;
+double bench_hot_path_mix(const std::string& path, std::size_t backlog) {
+  psd::EventQueue q;
   psd::Rng rng(4);
   double t = 0.0, acc = 0.0;
   double* sink = &acc;
@@ -179,9 +156,8 @@ double bench_hot_path_mix(const std::string& impl, const std::string& path,
     return t;
   });
   emit_record(path, "event_queue", "hot_path_mix",
-              "\"impl\":\"" + impl +
-                  "\",\"backlog\":" + std::to_string(backlog),
-              ns, kIters);
+              kImpl + ",\"backlog\":" + std::to_string(backlog), ns,
+              kIters);
   return ns;
 }
 
@@ -193,31 +169,15 @@ int main(int argc, char** argv) {
 
   for (std::size_t backlog : {std::size_t{64}, std::size_t{4096},
                               std::size_t{32768}}) {
-    bench_schedule_pop_empty<psd::bench::LegacyEventQueue>("legacy", path,
-                                                           backlog);
-    bench_schedule_pop_empty<psd::EventQueue>("pooled", path, backlog);
+    bench_schedule_pop_empty(path, backlog);
   }
   for (std::size_t backlog : {std::size_t{32}, std::size_t{1024}}) {
-    bench_schedule_pop_completion<psd::bench::LegacyEventQueue>("legacy", path,
-                                                                backlog);
-    bench_schedule_pop_completion<psd::EventQueue>("pooled", path, backlog);
+    bench_schedule_pop_completion(path, backlog);
   }
-  bench_cancellable<psd::bench::LegacyEventQueue>("legacy", path, 1024);
-  bench_cancellable<psd::EventQueue>("pooled", path, 1024);
-
-  const double legacy_churn =
-      bench_cancel_heavy<psd::bench::LegacyEventQueue>("legacy", path);
-  const double pooled_churn = bench_cancel_heavy<psd::EventQueue>("pooled", path);
-
-  const double legacy_mix =
-      bench_hot_path_mix<psd::bench::LegacyEventQueue>("legacy", path, 32);
-  const double pooled_mix =
-      bench_hot_path_mix<psd::EventQueue>("pooled", path, 32);
-
-  std::printf("cancel-churn speedup: %.2fx (legacy %.1f -> pooled %.1f ns/op)\n",
-              legacy_churn / pooled_churn, legacy_churn, pooled_churn);
-  std::printf("hot-path-mix speedup: %.2fx (legacy %.1f -> pooled %.1f "
-              "ns/request)\n",
-              legacy_mix / pooled_mix, legacy_mix, pooled_mix);
+  bench_cancellable(path, 1024);
+  const double churn = bench_cancel_heavy(path);
+  const double mix = bench_hot_path_mix(path, 32);
+  std::printf("cancel-churn: %.1f ns/op\nhot-path-mix: %.1f ns/request\n",
+              churn, mix);
   return 0;
 }

@@ -24,21 +24,23 @@
 //     its weighted slice — holding per-class slowdown ratios cluster-wide,
 //     not merely per node.
 //
-// Node failure is first-class: kill(node) flips the router's alive mask
-// (dispatch skips the corpse), freezes the node's metrics, and re-weights
-// the controller's groups — the dead node's weight drops to 0, so it leaves
-// the estimates and the rate hand-out, and the allocator is rebuilt at the
-// alive capacity — after which the cluster re-converges; the report
-// measures how fast (settle time, stats/convergence.hpp).
+// Node failure is first-class: a kill (cfg.kill_at, either drive mode)
+// flips the router's alive mask (dispatch skips the corpse), freezes the
+// node's metrics, and re-weights the controller's groups — the dead node's
+// weight drops to 0, so it leaves the estimates and the rate hand-out, and
+// the allocator is rebuilt at the alive capacity — after which the cluster
+// re-converges; the report measures how fast (settle time,
+// stats/convergence.hpp).
 //
 // Like Runtime, the whole thing drives two ways: run() spawns shard/
-// generator/controller threads on the wall clock (psdcluster), step_to()
-// advances everything deterministically under a ManualClock (tests;
-// bitwise-identical reports at a fixed seed).
+// generator/controller threads on the wall clock (psdcluster) through the
+// single-node runtime's thread groups (rt/drive.hpp), one group per node;
+// step_to() advances everything deterministically under a ManualClock
+// (tests; bitwise-identical reports at a fixed seed).  The report folds
+// windows with the single-node fold (fold_windows) over every node's
+// shards.
 #pragma once
 
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -54,16 +56,16 @@ namespace psd::rt {
 struct ClusterRtConfig {
   /// Per-node topology/workload template: shards, deltas, size dist, LOAD
   /// (per-shard utilization — total arrival rate scales with the node
-  /// count), controller cadence, warmup/duration, admission, seed.  The
-  /// node-level allocator field selects the cluster controller's
-  /// allocator; node controllers themselves run rate-less (see file
-  /// header).
+  /// count), warmup/duration, admission, seed.  The node-level allocator
+  /// field selects the cluster controller's allocator; node controllers
+  /// themselves run rate-less (see file header).  controller_period is the
+  /// one cadence: node ticks, cluster-controller ticks and the stats
+  /// sampling grid (it is also the estimator window the controller reads).
+  /// Exporter outputs (obs stream, metrics port, trace, SLO watchdog) and
+  /// pin_threads are rejected: the cluster drive has no use for them.
   RtConfig node;
   std::size_t nodes = 2;
   AssignmentSpec assignment{AssignmentPolicy::kRoundRobin};
-  /// Cluster-controller cadence in seconds (also the stats sampling grid).
-  /// The settle-time report quotes this as the rebalance resolution.
-  double rebalance_period = 0.05;
   /// Node-failure injection: at `kill_at` seconds, `kill_node` is removed
   /// (dispatch stops, shards stop draining, metrics freeze).  Negative =
   /// never.
@@ -152,17 +154,9 @@ class ClusterRuntime {
 
   ClusterReport report() const;
 
-  /// Remove a node immediately (deterministic drive; threaded runs use
-  /// cfg.kill_at).  At least one node must survive.
-  void kill(std::size_t node);
-
-  std::size_t nodes() const { return handles_.size(); }
   RuntimeHandle& node(std::size_t i) { return handles_[i]; }
-  const AssignmentRouter& router() const { return *router_; }
   /// The cluster's one rate controller (one shard group per node).
   const Controller& controller() const { return *controller_; }
-  const ClusterRtConfig& config() const { return cfg_; }
-  ClockVariant& clock() { return clock_; }
 
  private:
   /// Sink for every generated arrival: route via the AssignmentRouter and
@@ -173,10 +167,10 @@ class ClusterRuntime {
   void step_to_internal(Time t);
   /// One cluster-controller tick, then a stats sample.
   void rebalance(Time now);
-  /// Router flip (under the dispatch mutex) -> optional thread stop hook
-  /// (threaded mode joins the node's shard threads here) -> metrics freeze
-  /// -> controller re-weight -> stats event.
-  void do_kill(std::size_t node, const std::function<void()>& stop_node = {});
+  /// Router flip (under the dispatch mutex) -> stop the node's shard
+  /// threads (`drains`, threaded mode only) -> metrics freeze -> controller
+  /// re-weight -> stats event.  Threaded mode calls it under tick_m_.
+  void do_kill(std::size_t node, ThreadGroup* drains = nullptr);
   void sample_stats(Time now);
   std::uint64_t alive_outstanding() const;
 
@@ -190,14 +184,15 @@ class ClusterRuntime {
   std::unique_ptr<obs::ClusterStatsLog> stats_;
 
   mutable std::mutex dispatch_m_;
+  /// Threaded mode: serializes ticks (node + cluster) with the kill.
+  std::mutex tick_m_;
   std::vector<double> load_signal_;  ///< Per-node outstanding, reused.
   std::vector<std::uint64_t> dispatched_;
   std::uint64_t dispatch_ns_ = 0;     ///< Threaded mode only (see report).
   std::uint64_t dispatch_timed_ = 0;  ///< Requests with a timed dispatch.
 
-  Time next_rebalance_;
-  bool killed_ = false;        ///< A kill was executed.
-  double kill_time_ = kNaN;    ///< When (the settle onset).
+  Time next_rebalance_ = cfg_.node.controller_period;
+  double kill_time_ = kNaN;    ///< When a kill ran (the settle onset).
   double run_elapsed_ = -1.0;  ///< Set once a threaded run completes.
   bool ran_ = false;
   bool finalized_ = false;

@@ -7,8 +7,8 @@
 // special case) needs only the first concern, behind three verbs:
 //
 //   submit()    — inject one request (per-class round-robin over the shards,
-//                 the same spray discipline the internal load sources use, so
-//                 per-shard class mixes stay aligned with the global mix),
+//                 so per-shard class mixes stay aligned with the global mix;
+//                 the runtime's own load sources each spray through one),
 //   snapshot()  — read the seqlock-published per-shard state,
 //   drain()     — advance every shard to `now` on the calling thread.
 //

@@ -5,32 +5,15 @@
 namespace psd::rt {
 
 SyntheticLoadGen::SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
-                                   std::vector<ClassLoad> classes,
-                                   std::vector<Shard*> shards, Time start)
-    : rng_(std::move(rng)),
-      shards_(std::move(shards)),
-      id_base_(static_cast<std::uint64_t>(gen_id) << 48) {
-  PSD_REQUIRE(!shards_.empty(), "load generator needs at least one shard");
-  PSD_REQUIRE(!classes.empty(), "load generator needs at least one class");
-  streams_.reserve(classes.size());
-  for (auto& cl : classes) {
-    Stream s{cl.cls, std::move(cl.arrivals), std::move(cl.sizes), 0.0, 0};
-    s.next = start + s.arrivals.next_interarrival(rng_);
-    streams_.push_back(std::move(s));
-  }
-}
-
-SyntheticLoadGen::SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
                                    std::vector<ClassLoad> classes, Sink sink,
                                    Time start)
-    : rng_(std::move(rng)),
+    : LoadSource(std::move(sink)),
+      rng_(std::move(rng)),
       id_base_(static_cast<std::uint64_t>(gen_id) << 48) {
-  PSD_REQUIRE(sink != nullptr, "sink-mode load generator needs a sink");
   PSD_REQUIRE(!classes.empty(), "load generator needs at least one class");
-  set_sink(std::move(sink));
   streams_.reserve(classes.size());
   for (auto& cl : classes) {
-    Stream s{cl.cls, std::move(cl.arrivals), std::move(cl.sizes), 0.0, 0};
+    Stream s{std::move(cl)};
     s.next = start + s.arrivals.next_interarrival(rng_);
     streams_.push_back(std::move(s));
   }
@@ -58,18 +41,16 @@ void SyntheticLoadGen::step_until(Time t) {
     req.cls = earliest->cls;
     req.arrival = earliest->next;
     req.size = earliest->sizes.sample(rng_);
-    route(shards_, earliest->rr, req);
+    route(req);
     earliest->next += earliest->arrivals.next_interarrival(rng_);
   }
 }
 
 TraceLoadGen::TraceLoadGen(Trace trace, double time_scale,
-                           std::size_t num_classes, std::vector<Shard*> shards)
-    : trace_(std::move(trace)),
-      scale_(time_scale),
-      shards_(std::move(shards)),
-      rr_(num_classes, 0) {
-  PSD_REQUIRE(!shards_.empty(), "trace replay needs at least one shard");
+                           std::size_t num_classes, Sink sink)
+    : LoadSource(std::move(sink)),
+      trace_(std::move(trace)),
+      scale_(time_scale) {
   PSD_REQUIRE(time_scale > 0.0, "trace time scale must be positive");
   Time prev = -kInf;
   for (const auto& e : trace_) {
@@ -95,7 +76,7 @@ void TraceLoadGen::step_until(Time t) {
     req.cls = e.cls;
     req.arrival = (e.time - base_) * scale_;
     req.size = e.size;
-    route(shards_, rr_[e.cls], req);
+    route(req);
     ++idx_;
   }
 }

@@ -1,10 +1,10 @@
 // Open-loop load sources for the serving runtime.
 //
 // A LoadSource produces every arrival with timestamp <= t when asked to
-// step_until(t) — the threaded driver calls it with the advancing wall
+// step_until(t) — the threaded drive calls it with the advancing wall
 // clock (sleeping toward next_time() between calls), the deterministic
-// driver calls it with a ManualClock time.  Arrivals are pushed straight
-// into shard MPSC rings; a full ring counts a drop and the source moves on
+// drive calls it with a ManualClock time.  Every arrival goes to the
+// source's Sink; a full shard ring counts a drop and the source moves on
 // (open loop: overload never throttles the arrival process).
 //
 //   * SyntheticLoadGen — per-class ArrivalVariant + SamplerVariant streams,
@@ -17,12 +17,12 @@
 //     drive the rt stack bit-for-bit (same classes, same sizes, same
 //     relative spacing).
 //
-// Requests are sprayed round-robin per class across the shard set, which
-// keeps per-shard class mixes aligned with the global mix (the controller's
-// equal-slice assumption).  Alternatively a source can be built with a Sink:
-// arrivals then go to the sink callback instead of a shard set, which is how
-// the cluster dispatcher interposes its assignment policy between the
-// generators and the nodes without the sources knowing about clusters.
+// The sink decides where a request lands.  A Runtime gives each source its
+// own RuntimeHandle::submit spray — round-robin per class across the shard
+// set, which keeps per-shard class mixes aligned with the global mix (the
+// controller's equal-slice assumption).  The cluster gives its sources the
+// dispatcher, which interposes the assignment policy between the generators
+// and the nodes without the sources knowing about clusters.
 #pragma once
 
 #include <atomic>
@@ -30,18 +30,22 @@
 #include <functional>
 #include <vector>
 
-#include "rt/shard.hpp"
+#include "dist/sampler.hpp"
 #include "workload/arrival.hpp"
+#include "workload/request.hpp"
 #include "workload/trace.hpp"
 
 namespace psd::rt {
 
 class LoadSource {
  public:
-  /// Arrival consumer for sink-mode sources (cluster dispatch).  Called on
-  /// the generator's thread for every produced request.
+  /// Arrival consumer, called on the source's thread for every produced
+  /// request.
   using Sink = std::function<void(const Request&)>;
 
+  explicit LoadSource(Sink sink) : sink_(std::move(sink)) {
+    PSD_REQUIRE(sink_ != nullptr, "load source needs a sink");
+  }
   virtual ~LoadSource() = default;
 
   /// Produce (and route) every arrival with timestamp <= t.
@@ -55,21 +59,11 @@ class LoadSource {
   }
 
  protected:
-  /// Drops are counted where they happen (Shard::submit), not here.  With a
-  /// sink installed the shard spray is bypassed entirely (`shards` may be
-  /// empty) and the sink owns routing.
-  void route(std::vector<Shard*>& shards, std::size_t& rr,
-             const Request& req) {
+  /// Drops are counted where they happen (Shard::submit), not here.
+  void route(const Request& req) {
     produced_.fetch_add(1, std::memory_order_relaxed);
-    if (sink_) {
-      sink_(req);
-      return;
-    }
-    shards[rr]->submit(req);
-    rr = (rr + 1) % shards.size();
+    sink_(req);
   }
-
-  void set_sink(Sink sink) { sink_ = std::move(sink); }
 
  private:
   std::atomic<std::uint64_t> produced_{0};
@@ -86,30 +80,18 @@ class SyntheticLoadGen final : public LoadSource {
 
   /// `gen_id` namespaces request ids across generator threads.
   SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
-                   std::vector<ClassLoad> classes, std::vector<Shard*> shards,
-                   Time start);
-
-  /// Sink mode: every arrival goes to `sink` (the cluster dispatcher)
-  /// instead of a shard spray.  Draw sequences are identical to the
-  /// shard-spray construction at the same seed — only delivery differs.
-  SyntheticLoadGen(std::uint32_t gen_id, Rng rng,
                    std::vector<ClassLoad> classes, Sink sink, Time start);
 
   void step_until(Time t) override;
   Time next_time() const override;
 
  private:
-  struct Stream {
-    ClassId cls;
-    ArrivalVariant arrivals;
-    SamplerVariant sizes;
-    Time next;
-    std::size_t rr = 0;
+  struct Stream : ClassLoad {
+    Time next = 0.0;
   };
 
   Rng rng_;
   std::vector<Stream> streams_;
-  std::vector<Shard*> shards_;
   std::uint64_t count_ = 0;
   std::uint64_t id_base_;
 };
@@ -120,18 +102,14 @@ class TraceLoadGen final : public LoadSource {
   /// in raw model time replays at mean_service_seconds / E[X]); entries must
   /// be time-ordered with classes < num_classes.
   TraceLoadGen(Trace trace, double time_scale, std::size_t num_classes,
-               std::vector<Shard*> shards);
+               Sink sink);
 
   void step_until(Time t) override;
   Time next_time() const override;
 
-  std::size_t size() const { return trace_.size(); }
-
  private:
   Trace trace_;
   double scale_;
-  std::vector<Shard*> shards_;
-  std::vector<std::size_t> rr_;  ///< Per-class round-robin cursor.
   std::size_t idx_ = 0;
   Time base_ = 0.0;  ///< First entry's recorded time (replay is relative).
 };

@@ -86,18 +86,6 @@ class MpscQueue {
 
   std::size_t capacity() const { return mask_ + 1; }
 
-  /// Producer-side estimate of occupancy (racy, for snapshots only).
-  std::size_t approx_size() const {
-    const std::size_t e = enqueue_pos_.load(std::memory_order_relaxed);
-    const std::size_t d = consumed_.load(std::memory_order_relaxed);
-    return e >= d ? e - d : 0;
-  }
-
-  /// Consumer calls this after a batch of pops so approx_size stays honest.
-  void publish_consumed() {
-    consumed_.store(dequeue_pos_, std::memory_order_relaxed);
-  }
-
  private:
   struct Cell {
     std::atomic<std::size_t> seq{0};
@@ -109,9 +97,8 @@ class MpscQueue {
   std::vector<Cell> cells_;
   std::size_t mask_ = 0;
   alignas(kCacheLine) std::atomic<std::size_t> enqueue_pos_{0};
-  // Consumer-private cursor on its own line; consumed_ is its public echo.
+  // Consumer-private cursor on its own line.
   alignas(kCacheLine) std::size_t dequeue_pos_ = 0;
-  std::atomic<std::size_t> consumed_{0};
 };
 
 }  // namespace psd::rt

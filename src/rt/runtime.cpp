@@ -1,8 +1,6 @@
 #include "rt/runtime.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <string>
@@ -10,26 +8,11 @@
 #include <utility>
 
 #include "dist/sampler.hpp"
+#include "rt/handle.hpp"
 #include "stats/convergence.hpp"
 #include "workload/class_spec.hpp"
 
-#ifdef __linux__
-#include <pthread.h>
-#endif
-
 namespace psd::rt {
-
-bool pin_current_thread(unsigned cpu) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
 
 double RtConfig::shard_capacity() const {
   return make_sampler(size_dist).mean() / mean_service_seconds;
@@ -114,6 +97,79 @@ void RtConfig::validate() const {
   PSD_REQUIRE(converge_tol > 0.0, "convergence tolerance must be positive");
 }
 
+std::vector<SyntheticLoadGen::ClassLoad> class_loads(
+    const RtConfig& cfg, double rate_scale, const SamplerVariant& sampler) {
+  const auto lam = cfg.lambdas();
+  std::vector<SyntheticLoadGen::ClassLoad> classes;
+  classes.reserve(cfg.num_classes());
+  for (std::size_t c = 0; c < cfg.num_classes(); ++c) {
+    // Stationary default stays the bare Poisson construction (identical
+    // draw streams at a fixed seed); MMPP shapes and load profiles route
+    // through the workload factory.  Each generator thread carries its own
+    // thinned stream at the scaled rate — the superposition still tracks
+    // the profile on the wall clock.
+    const double rate = lam[c] * rate_scale;
+    if (cfg.arrivals.kind == ArrivalKind::kPoisson && !cfg.profile.active()) {
+      classes.push_back(
+          {static_cast<ClassId>(c), PoissonArrivals(rate), sampler});
+    } else {
+      classes.push_back({static_cast<ClassId>(c),
+                         make_arrivals(cfg.arrivals, rate, cfg.profile),
+                         sampler});
+    }
+  }
+  return classes;
+}
+
+WindowFold fold_windows(const std::vector<Shard*>& shards,
+                        const std::vector<double>& delta, double tol,
+                        Time onset, Duration period) {
+  const std::size_t n = delta.size();
+  WindowFold f;
+  f.ratio_p50.assign(n, kNaN);
+  f.settle.assign(n, kNaN);
+  // Windowed medians: pool the per-window slowdown ratios (class c vs class
+  // 0, index-aligned) across shards and take the median.
+  for (std::size_t c = 1; c < n; ++c) {
+    std::vector<const std::vector<IntervalStat>*> base, cls;
+    for (const Shard* shard : shards) {
+      const auto& m = shard->server().metrics();
+      base.push_back(&m.windows(0));
+      cls.push_back(&m.windows(static_cast<ClassId>(c)));
+    }
+    const double p50 = pooled_window_ratio_median(base, cls);
+    if (!std::isfinite(p50)) continue;
+    f.ratio_p50[c] = p50;
+    const double err = std::abs(p50 / (delta[c] / delta[0]) - 1.0);
+    f.max_error = std::isfinite(f.max_error) ? std::max(f.max_error, err) : err;
+  }
+
+  // Ratio re-convergence after the onset.  Merge the shards' series
+  // count-weighted into one per-class series first — the same pairing rule
+  // the simulator's cluster aggregation uses.
+  if (!std::isfinite(onset) || n < 2) return f;
+  auto merged = [&](ClassId cls) {
+    std::vector<IntervalStat> out;
+    for (const Shard* shard : shards) {
+      merge_windows_into(out, shard->server().metrics().windows(cls));
+    }
+    return out;
+  };
+  const auto w0 = merged(0);
+  double worst = 0.0;
+  for (std::size_t c = 1; c < n; ++c) {
+    const double settled =
+        ratio_settle_time(w0, merged(static_cast<ClassId>(c)),
+                          delta[c] / delta[0], tol, onset, period);
+    f.settle[c] = settled;
+    // NaN (never settled) poisons the max: a bounded check must fail.
+    if (!std::isfinite(settled)) worst = kNaN;
+    else if (std::isfinite(worst)) worst = std::max(worst, settled);
+  }
+  f.max_settle = worst;
+  return f;
+}
+
 void Runtime::build_shards(double shard_capacity) {
   Rng master(cfg_.seed);
   ShardConfig sc;
@@ -148,7 +204,13 @@ void Runtime::build_shards(double shard_capacity) {
   }
 }
 
-std::vector<Shard*> Runtime::shard_ptrs() {
+LoadSource::Sink Runtime::spray() {
+  return [handle = RuntimeHandle(*this)](const Request& req) mutable {
+    handle.submit(req);
+  };
+}
+
+std::vector<Shard*> Runtime::shard_ptrs() const {
   std::vector<Shard*> ptrs;
   ptrs.reserve(shards_.size());
   for (auto& s : shards_) ptrs.push_back(s.get());
@@ -201,55 +263,29 @@ void Runtime::init_exporter() {
 }
 
 Runtime::Runtime(RtConfig cfg, ClockVariant clock)
-    : cfg_(std::move(cfg)),
-      clock_(std::move(clock)),
-      next_tick_(cfg_.controller_period) {
+    : cfg_(std::move(cfg)), clock_(std::move(clock)) {
   const SamplerVariant sampler = init_topology();
-  const auto lam = cfg_.lambdas();
   const double inv_gens = 1.0 / static_cast<double>(cfg_.loadgens);
   Rng master(cfg_.seed);
   for (std::size_t g = 0; g < cfg_.loadgens; ++g) {
-    std::vector<SyntheticLoadGen::ClassLoad> classes;
-    classes.reserve(cfg_.num_classes());
-    for (std::size_t c = 0; c < cfg_.num_classes(); ++c) {
-      // Stationary default stays the bare Poisson construction (identical
-      // draw streams at a fixed seed); MMPP shapes and load profiles route
-      // through the workload factory.  Each generator thread carries its
-      // own thinned stream at rate/loadgens — the superposition still
-      // tracks the profile on the wall clock.
-      if (cfg_.arrivals.kind == ArrivalKind::kPoisson &&
-          !cfg_.profile.active()) {
-        classes.push_back({static_cast<ClassId>(c),
-                           PoissonArrivals(lam[c] * inv_gens), sampler});
-      } else {
-        classes.push_back({static_cast<ClassId>(c),
-                           make_arrivals(cfg_.arrivals, lam[c] * inv_gens,
-                                         cfg_.profile),
-                           sampler});
-      }
-    }
     gens_.push_back(std::make_unique<SyntheticLoadGen>(
         static_cast<std::uint32_t>(g), master.fork(100 + g),
-        std::move(classes), shard_ptrs(), 0.0));
+        class_loads(cfg_, inv_gens, sampler), spray(), 0.0));
   }
   init_exporter();
 }
 
 Runtime::Runtime(RtConfig cfg, ClockVariant clock, Trace trace,
                  double time_scale)
-    : cfg_(std::move(cfg)),
-      clock_(std::move(clock)),
-      next_tick_(cfg_.controller_period) {
+    : cfg_(std::move(cfg)), clock_(std::move(clock)) {
   init_topology();
   gens_.push_back(std::make_unique<TraceLoadGen>(
-      std::move(trace), time_scale, cfg_.num_classes(), shard_ptrs()));
+      std::move(trace), time_scale, cfg_.num_classes(), spray()));
   init_exporter();
 }
 
 Runtime::Runtime(RtConfig cfg, ClockVariant clock, EmbeddedTag)
-    : cfg_(std::move(cfg)),
-      clock_(std::move(clock)),
-      next_tick_(cfg_.controller_period) {
+    : cfg_(std::move(cfg)), clock_(std::move(clock)) {
   init_topology();
   init_exporter();
 }
@@ -314,106 +350,42 @@ RtReport Runtime::run() {
               "run() spins wall-clock threads; use step_to with ManualClock");
   ran_ = true;
 
-  // Bind the metrics listener BEFORE any worker thread exists: a bound
-  // port or socket failure must surface as a clean startup exception, and
-  // throwing with joinable std::threads alive would std::terminate.
+  // Bind the metrics listener before any worker thread exists, so a bound
+  // port surfaces as a clean startup exception.
   if (exporter_ != nullptr) exporter_->start_http();
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::atomic<bool> stop_gen{false};
-  std::atomic<bool> stop_rest{false};
-  std::vector<std::thread> threads;
-  threads.reserve(shards_.size() + gens_.size() + 1);
-
+  auto cpu = [&](std::size_t i) {
+    return cfg_.pin_threads ? static_cast<int>(i % hw) : -1;
+  };
+  const bool sampling = exporter_ != nullptr && exporter_->sampling_active();
+  ThreadGroup serving(clock_);  // Shards, controller, exporter.
+  ThreadGroup load(clock_);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    threads.emplace_back([this, i, hw, &stop_rest] {
-      if (cfg_.pin_threads) pin_current_thread(static_cast<unsigned>(i % hw));
-      Shard& sh = *shards_[i];
-      while (!stop_rest.load(std::memory_order_acquire)) {
-        if (sh.drain(clock_.now()) == 0) {
-          // Nothing arrived: yield the core instead of spinning.  Latency
-          // this adds lands in mean_ingress_wait, never in slowdowns (the
-          // embedded simulator timestamps are exact).
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      }
-    });
+    serving.drain(*shards_[i], cpu(i));
   }
   for (std::size_t g = 0; g < gens_.size(); ++g) {
-    threads.emplace_back([this, g, hw, &stop_gen] {
-      if (cfg_.pin_threads) {
-        pin_current_thread(
-            static_cast<unsigned>((shards_.size() + g) % hw));
-      }
-      LoadSource& gen = *gens_[g];
-      while (!stop_gen.load(std::memory_order_acquire)) {
-        gen.step_until(clock_.now());
-        const double dt = gen.next_time() - clock_.now();
-        if (dt > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(
-              std::min(dt, 1e-3)));
-        }
-      }
-    });
+    load.spin(*gens_[g], cpu(shards_.size() + g));
   }
-  threads.emplace_back([this, hw, &stop_rest] {
-    if (cfg_.pin_threads) pin_current_thread(hw - 1);
-    Time next = next_tick_;
-    while (!stop_rest.load(std::memory_order_acquire)) {
-      const Time now = clock_.now();
-      if (now >= next) {
-        controller_->tick(now);
-        next = now + cfg_.controller_period;
-      }
-      const double dt = next - clock_.now();
-      if (dt > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(std::min(dt, 1e-3)));
-      }
-    }
-  });
-  if (exporter_ != nullptr) {
-    if (exporter_->sampling_active()) {
-      threads.emplace_back([this, &stop_rest] {
-        Time next = next_sample_;
-        while (!stop_rest.load(std::memory_order_acquire)) {
-          const Time now = clock_.now();
-          if (now >= next) {
-            exporter_->sample(now);
-            next = now + cfg_.obs.stats_interval;
-          }
-          const double dt = next - clock_.now();
-          if (dt > 0.0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(std::min(dt, 1e-2)));
-          }
-        }
-        // One closing sample so short runs always stream at least one line
-        // covering the full workload.
-        exporter_->sample(clock_.now());
-      });
-    }
+  serving.every(
+      cfg_.controller_period, [this](Time now) { controller_->tick(now); },
+      cpu(hw - 1));
+  if (sampling) {
+    serving.every(cfg_.obs.stats_interval,
+                  [this](Time now) { exporter_->sample(now); });
   }
 
   // Let the workload run its course.
-  while (clock_.now() < cfg_.duration) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        std::min(cfg_.duration - clock_.now(), 1e-2)));
-  }
-  stop_gen.store(true, std::memory_order_release);
+  wait_until(clock_, cfg_.duration);
+  load.stop();
   // The exporter thread keeps sampling through the grace period; the
   // watchdog must not alarm on drain-phase windows (see quiesce()).
   if (watchdog_ != nullptr) watchdog_->disarm();
-
-  // Grace period: shards keep draining until the accepted backlog clears
-  // (bounded — a near-zero-rate class paying off a token deficit may
-  // legitimately never finish).
-  const Time grace_end = clock_.now() + 2.0;
-  while (clock_.now() < grace_end && total_outstanding() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  stop_rest.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
+  drain_grace(clock_, [this] { return total_outstanding() > 0; });
+  serving.stop();
+  // One closing sample so short runs always stream at least one line
+  // covering the full workload.
+  if (sampling) exporter_->sample(clock_.now());
   if (exporter_ != nullptr) exporter_->stop_http();
 
   run_elapsed_ = clock_.now();
@@ -508,66 +480,33 @@ RtReport Runtime::report() const {
     }
   }
 
-  // Windowed medians: pool per-window slowdown ratios (class c vs class 0,
-  // index-aligned — every shard rolls the same warmup/window grid) across
-  // shards and take the median (stats/convergence.hpp; the cluster report
-  // applies the same statistic one level up, across all nodes' shards).
-  // Reads the servers' window series directly, so only after finish()
+  // Windowed medians and settle times (the cluster report applies the same
+  // fold one level up, across all nodes' shards).  Only after finish()
   // stopped the shard threads.
   if (finalized_) {
-    double worst_w = kNaN;
-    for (std::size_t c = 1; c < n; ++c) {
-      std::vector<const std::vector<IntervalStat>*> base, cls;
-      for (const auto& shard : shards_) {
-        const auto& m = shard->server().metrics();
-        base.push_back(&m.windows(0));
-        cls.push_back(&m.windows(static_cast<ClassId>(c)));
-      }
-      const double p50 = pooled_window_ratio_median(base, cls);
-      if (!std::isfinite(p50)) continue;
-      r.cls[c].window_ratio_p50 = p50;
-      const double err = std::abs(p50 / r.cls[c].target_ratio - 1.0);
-      worst_w = std::isfinite(worst_w) ? std::max(worst_w, err) : err;
+    const WindowFold f =
+        fold_windows(shard_ptrs(), cfg_.delta, cfg_.converge_tol,
+                     std::max(cfg_.profile.step_time(), cfg_.warmup),
+                     cfg_.controller_period);
+    for (std::size_t c = 0; c < n; ++c) {
+      r.cls[c].window_ratio_p50 = f.ratio_p50[c];
+      r.cls[c].settle_seconds = f.settle[c];
       // Survivor-only ratio integrity: under a gate, a fully-shed class
       // contributes no windows and drops out of this statistic by
       // construction — what remains is the differentiation among classes
       // that kept completing.
-      if (cfg_.admission.active() && r.cls[c].completed > 0) {
+      if (cfg_.admission.active() && r.cls[c].completed > 0 &&
+          std::isfinite(f.ratio_p50[c])) {
+        const double err =
+            std::abs(f.ratio_p50[c] / r.cls[c].target_ratio - 1.0);
         r.survivor_window_ratio_error =
             std::isfinite(r.survivor_window_ratio_error)
                 ? std::max(r.survivor_window_ratio_error, err)
                 : err;
       }
     }
-    r.max_window_ratio_error = worst_w;
-
-    // Ratio re-convergence after the profile's settling point.  Shard
-    // window series are index-aligned (same warmup/window grid), so merge
-    // them count-weighted into one per-class series first — the same
-    // pairing rule the simulator's cluster aggregation uses.
-    const double step_at = cfg_.profile.step_time();
-    if (std::isfinite(step_at) && n >= 2) {
-      auto merged = [&](ClassId cls) {
-        std::vector<IntervalStat> out;
-        for (const auto& shard : shards_) {
-          merge_windows_into(out, shard->server().metrics().windows(cls));
-        }
-        return out;
-      };
-      const auto w0 = merged(0);
-      const double onset = std::max(step_at, cfg_.warmup);
-      double worst_s = 0.0;
-      for (std::size_t c = 1; c < n; ++c) {
-        const double settled = ratio_settle_time(
-            w0, merged(static_cast<ClassId>(c)), r.cls[c].target_ratio,
-            cfg_.converge_tol, onset, cfg_.controller_period);
-        r.cls[c].settle_seconds = settled;
-        // NaN (never settled) poisons the max: a bounded check must fail.
-        if (!std::isfinite(settled)) worst_s = kNaN;
-        else if (std::isfinite(worst_s)) worst_s = std::max(worst_s, settled);
-      }
-      r.max_settle_seconds = worst_s;
-    }
+    r.max_window_ratio_error = f.max_error;
+    r.max_settle_seconds = f.max_settle;
   }
 
   for (const auto& g : gens_) {

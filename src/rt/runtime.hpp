@@ -2,9 +2,9 @@
 // behind one configuration, drivable two ways.
 //
 //   * Threaded (SteadyClock): run() spawns one thread per load generator,
-//     one per shard, and one controller thread, optionally affinity-pinned,
-//     runs for cfg.duration wall seconds, drains, and reports.  This is the
-//     psdserved / bench/micro_rt mode.
+//     one per shard, and one controller thread (rt/drive.hpp), optionally
+//     affinity-pinned, runs for cfg.duration wall seconds, drains, and
+//     reports.  This is the psdserved / bench/micro_rt mode.
 //   * Deterministic (ManualClock): step_to(t) advances every component on
 //     the calling thread in a fixed order — generators, shards, controller —
 //     so a fixed seed yields bit-identical reports with zero sleeps.  This
@@ -25,6 +25,7 @@
 #include "obs/exporter.hpp"
 #include "rt/clock.hpp"
 #include "rt/controller.hpp"
+#include "rt/drive.hpp"
 #include "rt/loadgen.hpp"
 #include "rt/shard.hpp"
 
@@ -195,7 +196,7 @@ class Runtime {
   std::uint64_t total_outstanding() const;
   std::size_t num_shards() const { return shards_.size(); }
   Shard& shard(std::size_t i) { return *shards_[i]; }
-  std::vector<Shard*> shard_ptrs();
+  std::vector<Shard*> shard_ptrs() const;
   const Controller& controller() const { return *controller_; }
   Controller& controller_mut() { return *controller_; }
   const RtConfig& config() const { return cfg_; }
@@ -212,6 +213,9 @@ class Runtime {
   SamplerVariant init_topology();
   void build_shards(double shard_capacity);
   void init_exporter();
+  /// A load-source sink of its own: RuntimeHandle::submit's per-class
+  /// round-robin over the shards, with cursors private to the source.
+  LoadSource::Sink spray();
 
   RtConfig cfg_;
   ClockVariant clock_;
@@ -220,15 +224,36 @@ class Runtime {
   std::unique_ptr<Controller> controller_;
   std::unique_ptr<obs::StatsExporter> exporter_;
   std::unique_ptr<obs::Watchdog> watchdog_;  ///< Driven via the exporter.
-  Time next_tick_;
+  Time next_tick_ = cfg_.controller_period;
   Time next_sample_ = 0.0;
   double run_elapsed_ = -1.0;  ///< Set once a threaded run completes.
   bool ran_ = false;
   bool finalized_ = false;
 };
 
-/// Best-effort affinity pin of the calling thread (Linux); false elsewhere
-/// or on failure.  Exposed for the bench harness.
-bool pin_current_thread(unsigned cpu);
+/// One synthetic load source's per-class streams: class c arrives at
+/// cfg.lambdas()[c] * rate_scale with sizes from `sampler`.  A Runtime
+/// passes 1/loadgens; a cluster, whose load sources feed every node, passes
+/// nodes/loadgens.
+std::vector<SyntheticLoadGen::ClassLoad> class_loads(
+    const RtConfig& cfg, double rate_scale, const SamplerVariant& sampler);
+
+/// The windowed report statistics of a shard list (stats/convergence.hpp),
+/// per class and worst over classes; NaN where there is no data.
+struct WindowFold {
+  std::vector<double> ratio_p50;  ///< Pooled window-ratio median vs class 0.
+  double max_error = kNaN;        ///< Worst |ratio_p50 / target - 1|.
+  std::vector<double> settle;     ///< Seconds from `onset` to re-settle.
+  double max_settle = kNaN;       ///< NaN when any class never settled.
+};
+
+/// Fold the closed window series of `shards`, in this order (every shard
+/// rolls the same warmup/window grid, so windows align by index), against
+/// the targets delta[c] / delta[0].  Settle times need a finite `onset`
+/// and two classes; `period` is the window length.  Only once no thread
+/// drains the shards.
+WindowFold fold_windows(const std::vector<Shard*>& shards,
+                        const std::vector<double>& delta, double tol,
+                        Time onset, Duration period);
 
 }  // namespace psd::rt

@@ -245,7 +245,6 @@ std::size_t Shard::drain(Time now) {
       estimator_.on_arrival(c, req.size);
       staged_[c].push_back(req);
     }
-    if (popped > 0) ingress_.publish_consumed();
   }
 
   // 4. Release staged work the token buckets can pay for.

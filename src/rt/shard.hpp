@@ -200,12 +200,6 @@ class Shard {
     return pushed > done ? pushed - done : 0;
   }
 
-  /// Admission-gate sheds, all classes (any thread).  Per-class counts are
-  /// shard-thread-private; read them from snapshot().sheds_cls.
-  std::uint64_t shed_total() const {
-    return shed_n_.load(std::memory_order_acquire);
-  }
-
   std::uint64_t dropped() const {
     std::uint64_t n = 0;
     for (std::size_t c = 0; c < cfg_.num_classes; ++c) {

@@ -3,6 +3,10 @@
 // cluster controller holding cluster-wide slowdown ratios, and node-kill
 // re-convergence.
 //
+// One short SteadyClock run covers the threaded drive, kill included; it
+// asserts only accounting identities, which hold however the threads
+// interleave.
+//
 // Manual steps run at the inter-arrival timescale (0.2ms): coarser steps
 // batch arrivals, and co-batched classes then share GPS capacity from equal
 // start times, compressing the measured ratio toward 1 (a clock-granularity
@@ -151,6 +155,38 @@ TEST(ClusterRt, NodeKillReconvergesWithinSettleBound) {
   EXPECT_LE(r.max_settle_seconds, 3.0);
 }
 
+TEST(ClusterRt, ThreadedRunWithKillBalancesItsBooks) {
+  auto cfg = base_cfg({AssignmentPolicy::kJsq, 2});
+  cfg.nodes = 3;
+  cfg.node.mean_service_seconds = 1e-3;  // 600 req/s per node at load 0.6
+  cfg.node.warmup = 0.3;
+  cfg.node.duration = 1.2;
+  cfg.kill_node = 2;
+  cfg.kill_at = 0.6;
+  rt::ClusterRuntime cluster(cfg, rt::SteadyClock());
+  const rt::ClusterReport r = cluster.run();
+
+  EXPECT_GT(r.produced, 0u);
+  EXPECT_FALSE(r.node[2].alive);
+  EXPECT_TRUE(r.node[0].alive);
+  std::uint64_t dispatched = 0;
+  std::uint64_t completed_all = 0;
+  for (const auto& nd : r.node) {
+    dispatched += nd.dispatched;
+    completed_all += nd.rt.completed_all;
+    EXPECT_EQ(nd.dispatched, nd.rt.completed_all + nd.rt.dropped +
+                                 nd.rt.shed_total + nd.rt.outstanding);
+  }
+  EXPECT_EQ(dispatched, r.produced);
+  EXPECT_EQ(r.produced, completed_all + r.dropped + r.shed_total +
+                            r.outstanding + r.lost_to_kill);
+  EXPECT_GT(r.global_ticks, 0u);
+  EXPECT_GE(r.settle_onset, cfg.kill_at);
+  EXPECT_LT(r.settle_onset, cfg.node.duration);
+  EXPECT_TRUE(std::isfinite(r.cls[1].window_ratio_p50));
+  EXPECT_TRUE(std::isfinite(r.max_window_ratio_error));
+}
+
 TEST(ClusterRt, KillRejectsBadSchedules) {
   auto cfg = base_cfg({AssignmentPolicy::kRoundRobin});
   cfg.kill_at = 1.0;
@@ -164,17 +200,31 @@ TEST(ClusterRt, KillRejectsBadSchedules) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.kill_at = -1.0;
   EXPECT_NO_THROW(cfg.validate());
-  cfg.rebalance_period = kInf;  // would silently disable the controller
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.rebalance_period = kNaN;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.rebalance_period = 0.05;
   cfg.node.duration = kInf;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   // A dead SITA-E node's band lands on a survivor beyond its capacity.
   auto sita = base_cfg({AssignmentPolicy::kSizeInterval});
   sita.kill_at = 1.0;
   EXPECT_THROW(sita.validate(), std::invalid_argument);
+}
+
+TEST(ClusterRt, RejectsFlagsTheClusterDriveIgnores) {
+  // No node exporter runs in a cluster: a metrics port would never bind and
+  // SLO rules would only dump at shutdown.  Nor does the drive pin threads.
+  auto cfg = base_cfg({AssignmentPolicy::kJsq, 2});
+  cfg.node.obs.enabled = true;  // Telemetry alone feeds report percentiles.
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.node.obs.slo_rules = "ratio_err>0.0001";
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.node.obs.slo_rules.clear();
+  cfg.node.obs.metrics_port = 9464;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.node.obs.metrics_port = 0;
+  cfg.node.obs.stats_path = "node_stats.jsonl";
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.node.obs.stats_path.clear();
+  cfg.node.pin_threads = true;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(ClusterRt, SingleNodeClusterMatchesConfigValidation) {

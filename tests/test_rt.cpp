@@ -1,9 +1,16 @@
 // Real-time runtime (src/rt) under a ManualClock: every component steps on
 // the test thread, so these tests are deterministic by construction — no
 // sleeps, no timing-dependent assertions, bitwise-reproducible reports.
+// Two short SteadyClock tests cover the threaded drive (ThreadGroup failure
+// forwarding, one whole run()); they assert only what holds however the
+// threads interleave.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
 
 #include "core/psd_allocation.hpp"
 #include "rt/clock.hpp"
@@ -331,6 +338,40 @@ TEST(Runtime, ThreadedRunRejectsManualClockAndViceVersa) {
   EXPECT_THROW(manual.run(), std::invalid_argument);
   Runtime steady(cfg, SteadyClock{});
   EXPECT_THROW(steady.step_to(1.0), std::invalid_argument);
+}
+
+TEST(ThreadGroup, StopRethrowsAStepFailureOnce) {
+  const ClockVariant clock{SteadyClock{}};
+  ThreadGroup group(clock);
+  std::atomic<bool> fired{false};
+  group.every(1e-3, [&fired](Time) {
+    fired.store(true);
+    throw std::runtime_error("tick failed");
+  });
+  while (!fired.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_THROW(group.stop(), std::runtime_error);
+  EXPECT_NO_THROW(group.stop());
+}
+
+TEST(Runtime, ThreadedRunBalancesItsBooks) {
+  // About one wall second of real threads: two shards, two generators and
+  // the controller race; once run() joined them every produced request is
+  // completed, dropped, shed or still outstanding.
+  RtConfig cfg = small_runtime_config();
+  cfg.controller_period = 0.05;
+  cfg.warmup = 0.3;
+  cfg.duration = 1.0;
+  Runtime runtime(cfg, SteadyClock{});
+  const RtReport r = runtime.run();
+  EXPECT_GT(r.produced, 0u);
+  EXPECT_EQ(r.produced,
+            r.completed_all + r.dropped + r.shed_total + r.outstanding);
+  EXPECT_GT(r.controller_ticks, 0u);
+  EXPECT_GE(r.elapsed, cfg.duration);
+  EXPECT_TRUE(std::isfinite(r.cls[1].window_ratio_p50));
+  EXPECT_TRUE(std::isfinite(r.max_window_ratio_error));
 }
 
 TEST(RtConfig, ValidatesInputs) {

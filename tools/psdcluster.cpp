@@ -35,7 +35,6 @@ cluster topology:
   --policy SPEC           assignment: random | rr | lwl | sita | jsq[d]
                           (default rr; jsq2 = least-loaded of 2 sampled)
   --cluster SPEC          both at once: "N[:policy]", e.g. 4:jsq2
-  --rebalance-ms MS       global reallocation period         (default 50)
   --kill-node I           remove node I mid-run (0-based; needs --kill-at)
   --kill-at SEC           when to remove it (dispatch stops, its metrics
                           freeze, capacity shrinks, cluster re-converges)
@@ -49,9 +48,12 @@ utilization, so total offered load scales with --nodes x --shards):
   --admission SPEC        --converge-tol F  --shards N
   --loadgens N            --duration SEC    --warmup SEC
   --mean-service-us U     --period-ms MS    --allocator NAME
-  --burst SEC             --seed N          --pin
+  --burst SEC             --seed N          --telemetry
   (see psdserved --help for each; --allocator selects the GLOBAL
-   allocator — node controllers run rate-less)
+   allocator — node controllers run rate-less; --period-ms is the one
+   controller cadence: node ticks, global reallocation, stats samples)
+  --pin, --metrics-port and --slo are rejected: the cluster drive pins
+  no threads and runs no per-node stats exporter
 
 checks & output:
   --check F               exit 1 unless the cluster-wide windowed-median
@@ -96,10 +98,7 @@ int main(int argc, char** argv) {
         const ClusterSpec spec = ClusterSpec::parse(value());
         cfg.nodes = spec.nodes;
         cfg.assignment = spec.assignment;
-      } else if (arg == "--rebalance-ms")
-        cfg.rebalance_period =
-            cli::parse_double(arg, value(), "--rebalance-ms 50") * 1e-3;
-      else if (arg == "--kill-node")
+      } else if (arg == "--kill-node")
         cfg.kill_node = static_cast<std::size_t>(
             cli::parse_uint(arg, value(), "--kill-node 3"));
       else if (arg == "--kill-at")
@@ -127,7 +126,7 @@ int main(int argc, char** argv) {
 
     std::cout << "cluster: " << cfg.nodes << " node(s) x " << cfg.node.shards
               << " shard(s), assignment " << cfg.assignment.name()
-              << ", rebalance every " << cfg.rebalance_period * 1e3
+              << ", rebalance every " << cfg.node.controller_period * 1e3
               << "ms\nserving " << cfg.node.delta.size()
               << " classes at per-shard load " << cfg.node.load << " for "
               << cfg.node.duration << "s (warmup " << cfg.node.warmup
