@@ -47,7 +47,7 @@ double shard_drain_rep_ns(bool telemetry, bool tracing,
   // count (kIters * kBatch / 64 = 3200) so every push pays the slot-write
   // cost, not the cheaper drop path.
   cfg.span_ring_capacity = 1 << 13;
-  psd::rt::Shard shard(cfg, psd::Rng(0xD2A1Bu));
+  psd::rt::Shard shard(cfg);
 
   // ~43k requests per MODEL second — production-like density, so costs
   // paid on a model-time cadence (estimator rolls, telemetry publishes)

@@ -21,6 +21,17 @@ void ClusterRtConfig::validate() const {
               "cluster nodes run no stats exporter (no metrics port, stats "
               "stream, trace or SLO watchdog)");
   PSD_REQUIRE(!node.pin_threads, "cluster runs do not pin threads");
+  // Likewise the exporter's and tracer's knobs, and the self-profiling
+  // timers, which only an exporter reads.
+  const obs::ObsConfig defaults;
+  PSD_REQUIRE(!node.obs.profile,
+              "cluster nodes run no stats exporter to read profile timers");
+  PSD_REQUIRE(node.obs.stats_interval == defaults.stats_interval,
+              "cluster stats sample every controller period; a stats "
+              "interval has no effect");
+  PSD_REQUIRE(node.obs.trace_sample_period == defaults.trace_sample_period,
+              "cluster nodes record no request traces; a trace sample "
+              "period has no effect");
   // Negative = never; NaN would read as "never" too, silently.
   PSD_REQUIRE(std::isfinite(kill_at), "kill time must be finite");
   if (assignment.policy == AssignmentPolicy::kSizeInterval) {
@@ -56,10 +67,6 @@ ClusterRuntime::ClusterRuntime(ClusterRtConfig cfg, ClockVariant clock)
   nodes_.reserve(cfg_.nodes);
   handles_.reserve(cfg_.nodes);
   for (std::size_t i = 0; i < cfg_.nodes; ++i) {
-    // Distinct per-node seeds (shard RNG forks diverge per node) derived
-    // deterministically from the template seed.
-    SplitMix64 sm(cfg_.node.seed + 0x9E3779B97F4A7C15ULL * (i + 1));
-    nc.seed = sm.next();
     nodes_.push_back(std::make_unique<Runtime>(nc, clock_, EmbeddedTag{}));
     handles_.emplace_back(*nodes_.back());
   }

@@ -21,130 +21,37 @@
 // only ever influences the request-record vector — so when request
 // recording is on, step_lane() takes the generic scan for the whole run.
 //
-// The hot-path collaborators (WaitingQueue, MetricsCollector,
-// LoadEstimator) are mirrored inline rather than called: same state, same
-// statement order, same floating-point arithmetic — the mirrors exist so
-// the accumulators can live in registers inside drain_class().  Quantities
-// a mirror tracks that RunResult never reads (queue occupancy stats, the
-// estimator's work-rate series) are dropped or accumulated in a cheaper
-// order; everything RunResult reads is op-for-op identical.  The
+// The hot-path collaborators are the per-task path's own: MetricsCollector
+// (its on_complete is inline) and LoadEstimator, fed a burst's arrivals in
+// one call.  The dedicated-rate arithmetic and the waiting-queue ring come
+// from sched/dedicated_class.hpp; WaitingQueue's occupancy stats are not
+// part of RunResult, so the stat-free ring is bitwise-equivalent.  The
 // equivalence tests in tests/test_lockstep.cpp pin all of this against
 // run_scenario bit for bit.
 #include "experiment/lockstep.hpp"
 
-#include <algorithm>
-#include <deque>
 #include <memory>
 #include <utility>
 
 #include "common/error.hpp"
 #include "dist/lane_block.hpp"
 #include "experiment/scenario_build.hpp"
+#include "sched/dedicated_class.hpp"
 #include "server/allocator.hpp"
+#include "server/load_estimator.hpp"
 #include "server/metrics.hpp"
 #include "sim/lane_stepper.hpp"
-#include "stats/online.hpp"
 
 namespace psd {
 
 bool lockstep_eligible(const ScenarioConfig& cfg) {
-  // Admission gates hook Server::submit (shed bookkeeping the kernel's
-  // per-class mirrors don't reproduce), so gated configs take the per-lane
-  // fallback path.
+  // Admission gates hook Server::submit (shed bookkeeping the kernel does
+  // not reproduce), so gated configs take the per-lane fallback path.
   return cfg.cluster_nodes == 1 && cfg.backend == BackendKind::kDedicated &&
          !cfg.admission.active();
 }
 
 namespace {
-
-// Same completion-time floor as sched/dedicated_rate.cpp: a paused class
-// (rate ~ 0) must keep a finite completion time.
-constexpr double kMinRate = 1e-9;
-
-/// A waiting request carries only what service assignment needs; the
-/// service-time fields are filled in at pop.  (WaitingQueue's occupancy
-/// statistics are not part of RunResult, so a stat-free ring is
-/// bitwise-equivalent.)
-struct QEntry {
-  RequestId id;
-  Time arrival;
-  Work size;
-};
-
-/// Power-of-two FCFS ring, same storage discipline as WaitingQueue.
-struct Ring {
-  std::vector<QEntry> buf;
-  std::uint64_t head = 0, tail = 0, mask = 0;
-
-  bool empty() const { return head == tail; }
-  void push(const QEntry& r) {
-    if (tail - head == buf.size()) grow();
-    buf[tail & mask] = r;
-    ++tail;
-  }
-  const QEntry& pop_front() {
-    const QEntry& r = buf[head & mask];
-    ++head;
-    return r;
-  }
-  void grow() {
-    const std::size_t n = static_cast<std::size_t>(tail - head);
-    std::vector<QEntry> next(buf.empty() ? 16 : buf.size() * 2);
-    for (std::size_t i = 0; i < n; ++i) next[i] = buf[(head + i) & mask];
-    buf = std::move(next);
-    mask = buf.size() - 1;
-    head = 0;
-    tail = n;
-  }
-};
-
-/// Inline mirror of IntervalSeries: same state, same roll arithmetic
-/// (stats/interval_series.cpp), so window records match bit for bit.
-struct SeriesMirror {
-  Time current_start = 0.0;
-  Duration window = 1.0;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double max = 0.0;
-  std::vector<IntervalStat> windows;
-
-  void add(Time t, double v) {
-    if (t < current_start) t = current_start;  // clamp clock jitter
-    while (t >= current_start + window) close_window();
-    ++count;
-    sum += v;
-    max = std::max(max, v);
-  }
-  void close_window() {
-    IntervalStat s;
-    s.start = current_start;
-    s.count = count;
-    s.mean = count ? sum / static_cast<double>(count) : 0.0;
-    s.max = count ? max : 0.0;
-    windows.push_back(s);
-    current_start += window;
-    count = 0;
-    sum = 0.0;
-    max = 0.0;
-  }
-  void finalize() {
-    if (count > 0) {
-      IntervalStat s;
-      s.start = current_start;
-      s.count = count;
-      s.mean = sum / static_cast<double>(count);
-      s.max = max;
-      windows.push_back(s);
-    }
-  }
-};
-
-/// One archived estimator window (LoadEstimator::WindowCounters mirror).
-struct EstWindow {
-  std::vector<std::uint64_t> arrivals;
-  std::vector<double> work;
-  Duration length = 0.0;
-};
 
 /// All mutable state of one replication lane.
 struct Lane {
@@ -158,22 +65,13 @@ struct Lane {
   std::vector<Rng> gen_rng;              ///< One per class (run_rng.fork(i)).
   std::vector<ArrivalVariant> arrivals;  ///< Value copies of the prototypes.
   std::vector<std::uint64_t> gen_count;  ///< Requests generated per class.
-  std::vector<Ring> queues;
+  std::vector<Ring<QEntry>> queues;
   std::vector<Slot> slots;
-
-  // MetricsCollector mirror: whole-run accumulators + per-window series.
-  std::vector<MeanStat> m_slowdown, m_delay, m_service;
-  std::vector<SeriesMirror> series;
-  std::vector<Request> records;
-
-  // LoadEstimator mirror.  est_work is accumulated per burst rather than
-  // per arrival — a different FP summation order than the per-task path,
-  // which is safe because only the count-based lambda estimate (integer
-  // counts / window length) ever reaches the allocator or RunResult.
-  Time est_window_start = 0.0;
-  std::vector<std::uint64_t> est_arrivals;
-  std::vector<double> est_work;
-  std::deque<EstWindow> est_closed;
+  MetricsCollector metrics;
+  /// Burst drains add a class's arrivals in one call, so work sums in a
+  /// different FP order than per arrival — safe, because only the
+  /// count-based lambda estimate reaches the allocator or RunResult.
+  LoadEstimator estimator;
 
   std::unique_ptr<RateAllocator> allocator;
   std::vector<double> rates;
@@ -185,43 +83,9 @@ struct Lane {
       : gen_count(n, 0),
         queues(n),
         slots(n),
-        m_slowdown(n),
-        m_delay(n),
-        m_service(n),
-        series(n),
-        est_arrivals(n, 0),
-        est_work(n, 0.0) {
-    for (auto& s : series) {
-      s.current_start = sc.metrics.warmup_end;
-      s.window = sc.metrics.window;
-    }
-  }
-
-  /// LoadEstimator::lambda_estimate, mirrored.
-  std::vector<double> lambda_estimate(std::size_t n) const {
-    std::vector<double> est(n, 0.0);
-    if (est_closed.empty()) return est;
-    Duration total_time = 0.0;
-    std::vector<double> counts(n, 0.0);
-    for (const auto& w : est_closed) {
-      total_time += w.length;
-      for (std::size_t i = 0; i < n; ++i) {
-        counts[i] += static_cast<double>(w.arrivals[i]);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) est[i] = counts[i] / total_time;
-    return est;
-  }
-
-  /// MetricsCollector::last_window_slowdowns, mirrored.
-  std::vector<double> last_window_slowdowns(std::size_t n) const {
-    std::vector<double> out(n, kNaN);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& w = series[i].windows;
-      if (!w.empty() && w.back().count > 0) out[i] = w.back().mean;
-    }
-    return out;
-  }
+        metrics(sc.metrics),
+        estimator(n, sc.realloc_period > 0.0 ? sc.realloc_period : 1.0,
+                  sc.estimator_history) {}
 };
 
 /// The lane-stepped replication kernel for eligible (single-node,
@@ -302,7 +166,7 @@ class LockstepKernel {
     std::vector<RunResult> out;
     out.reserve(lanes_.size());
     for (Lane& lane : lanes_) {
-      for (auto& s : lane.series) s.finalize();
+      lane.metrics.finalize();
       out.push_back(collect(lane));
     }
     return out;
@@ -365,18 +229,11 @@ class LockstepKernel {
     std::uint64_t est_count = 0;
     double est_work = 0.0;
 
-    MeanStat sd_stat = lane.m_slowdown[c];
-    MeanStat dl_stat = lane.m_delay[c];
-    MeanStat sv_stat = lane.m_service[c];
-    SeriesMirror& series = lane.series[c];
-    Time win_start = series.current_start;
-    const Duration win_len = series.window;
-    std::uint64_t win_count = series.count;
-    double win_sum = series.sum;
-    double win_max = series.max;
-    const Time warmup_end = sc_.metrics.warmup_end;
+    MetricsCollector& metrics = lane.metrics;
+    Request done;
+    done.cls = static_cast<ClassId>(c);
 
-    Ring& ring = lane.queues[c];
+    Ring<QEntry>& ring = lane.queues[c];
     const RequestId id_hi = static_cast<RequestId>(c) << 48;
     const bool est_on = realloc_on_;
 
@@ -403,7 +260,7 @@ class LockstepKernel {
           remaining = size;
           last_settle = t;
           busy = true;
-          comp_t = t + remaining / std::max(rate, kMinRate);
+          comp_t = completion_time(t, remaining, rate);
         }
         if (cursor == LaneDrawBlocks::kBatch) {
           blocks_.refill(l, c, lane.arrivals[c], dist_, lane.gen_rng[c]);
@@ -413,37 +270,16 @@ class LockstepKernel {
       } else {  // completion
         if (!(comp_t < T)) break;
         const Time t = comp_t;
-        const Duration service_elapsed = t - cur_sstart;
         busy = false;
         remaining = 0.0;
         if (fin) rate = pending_c;
-        // MetricsCollector::on_complete, register-resident.
-        if (t >= warmup_end) {
-          const Duration delay = cur_sstart - cur_arrival;
-          const double sd = delay / service_elapsed;
-          sd_stat.add(sd);
-          dl_stat.add(delay);
-          sv_stat.add(service_elapsed);
-          Time tt = t;
-          if (tt < win_start) tt = win_start;
-          while (tt >= win_start + win_len) {  // IntervalSeries::roll_to
-            IntervalStat s;
-            s.start = win_start;
-            s.count = win_count;
-            s.mean = win_count
-                         ? win_sum / static_cast<double>(win_count)
-                         : 0.0;
-            s.max = win_count ? win_max : 0.0;
-            series.windows.push_back(s);
-            win_start += win_len;
-            win_count = 0;
-            win_sum = 0.0;
-            win_max = 0.0;
-          }
-          ++win_count;
-          win_sum += sd;
-          win_max = std::max(win_max, sd);
-        }
+        done.id = cur_id;
+        done.arrival = cur_arrival;
+        done.size = cur_size;
+        done.service_start = cur_sstart;
+        done.departure = t;
+        done.service_elapsed = t - cur_sstart;
+        metrics.on_complete(done);
         if (!ring.empty()) {
           const QEntry e = ring.pop_front();
           cur_id = e.id;
@@ -453,7 +289,7 @@ class LockstepKernel {
           remaining = e.size;
           last_settle = t;
           busy = true;
-          comp_t = t + remaining / std::max(rate, kMinRate);
+          comp_t = completion_time(t, remaining, rate);
         } else {
           comp_t = kInf;
         }
@@ -474,15 +310,9 @@ class LockstepKernel {
     blocks_.cursor(l, c) = cursor;
     lane.gen_count[c] = gen;
     lane.submitted += arrivals_seen;
-    lane.est_arrivals[c] += est_count;
-    lane.est_work[c] += est_work;
-    lane.m_slowdown[c] = sd_stat;
-    lane.m_delay[c] = dl_stat;
-    lane.m_service[c] = sv_stat;
-    series.current_start = win_start;
-    series.count = win_count;
-    series.sum = win_sum;
-    series.max = win_max;
+    if (est_count > 0) {
+      lane.estimator.on_arrivals(static_cast<ClassId>(c), est_count, est_work);
+    }
   }
 
   /// Drain one lane's remaining events with fire_time <= limit in full
@@ -525,10 +355,7 @@ class LockstepKernel {
     ++lane.gen_count[cls];
 
     ++lane.submitted;
-    if (realloc_on_) {
-      ++lane.est_arrivals[cls];
-      lane.est_work[cls] += req.size;
-    }
+    if (realloc_on_) lane.estimator.on_arrival(req.cls, req.size);
     Lane::Slot& slot = lane.slots[cls];
     if (slot.busy) {
       lane.queues[cls].push({req.id, req.arrival, req.size});
@@ -555,7 +382,7 @@ class LockstepKernel {
     if (finish_at_old_ && !lane.pending_rates.empty()) {
       lane.rates[cls] = lane.pending_rates[cls];
     }
-    on_complete(lane, done);
+    lane.metrics.on_complete(done);
     if (!lane.queues[cls].empty()) {
       const QEntry e = lane.queues[cls].pop_front();
       slot.current.id = e.id;
@@ -572,44 +399,14 @@ class LockstepKernel {
     }
   }
 
-  /// MetricsCollector::on_complete, mirrored (same statement order).
-  void on_complete(Lane& lane, const Request& req) {
-    if (req.departure < sc_.metrics.warmup_end) return;
-    const double sd = req.slowdown();
-    lane.m_slowdown[req.cls].add(sd);
-    lane.m_delay[req.cls].add(req.delay());
-    lane.m_service[req.cls].add(req.service_elapsed);
-    lane.series[req.cls].add(req.departure, sd);
-    if (sc_.metrics.record_requests &&
-        req.departure >= sc_.metrics.record_from &&
-        req.departure < sc_.metrics.record_to) {
-      lane.records.push_back(req);
-    }
-  }
-
   /// Server::realloc_tick + DedicatedRateBackend::set_rates, flattened —
   /// same statement order, so the floating-point settle/reschedule
   /// arithmetic matches the per-task path operation for operation.
   void realloc_tick(Lane& lane, Time* clocks, Time t) {
-    // LoadEstimator::roll, mirrored.
-    {
-      const Duration len = t - lane.est_window_start;
-      PSD_REQUIRE(len > 0.0, "roll() before any time elapsed");
-      EstWindow w;
-      w.arrivals = lane.est_arrivals;
-      w.work = lane.est_work;
-      w.length = len;
-      lane.est_closed.push_back(std::move(w));
-      while (lane.est_closed.size() > sc_.estimator_history) {
-        lane.est_closed.pop_front();
-      }
-      lane.est_arrivals.assign(n_, 0);
-      lane.est_work.assign(n_, 0.0);
-      lane.est_window_start = t;
-    }
-    lane.allocator->observe_slowdowns(lane.last_window_slowdowns(n_));
+    lane.estimator.roll(t);
+    lane.allocator->observe_slowdowns(lane.metrics.last_window_slowdowns());
     const std::vector<double> next =
-        lane.allocator->allocate(lane.lambda_estimate(n_));
+        lane.allocator->allocate(lane.estimator.lambda_estimate());
     PSD_CHECK(next.size() == n_, "allocator size mismatch");
     if (finish_at_old_) {
       // Idle classes adopt immediately; busy ones at their next completion.
@@ -621,9 +418,8 @@ class LockstepKernel {
       for (std::size_t cls = 0; cls < n_; ++cls) {
         Lane::Slot& slot = lane.slots[cls];
         if (slot.busy) {  // settle remaining work at the old rate
-          slot.remaining -= (t - slot.last_settle) * lane.rates[cls];
-          if (slot.remaining < 0.0) slot.remaining = 0.0;
-          slot.last_settle = t;
+          settle_remaining(slot.remaining, slot.last_settle, lane.rates[cls],
+                           t);
         }
         lane.rates[cls] = next[cls];
         if (slot.busy) schedule_completion(lane, clocks, cls, t);
@@ -635,8 +431,8 @@ class LockstepKernel {
 
   void schedule_completion(Lane& lane, Time* clocks, std::size_t cls,
                            Time t) {
-    const double rate = std::max(lane.rates[cls], kMinRate);
-    clocks[1 + n_ + cls] = t + lane.slots[cls].remaining / rate;
+    clocks[1 + n_ + cls] =
+        completion_time(t, lane.slots[cls].remaining, lane.rates[cls]);
   }
 
   /// The per-task runner's collect block, per lane.
@@ -645,24 +441,16 @@ class LockstepKernel {
     out.time_unit = unit_;
     out.submitted = lane.submitted;
     out.reallocations = lane.reallocs;
-    {
-      // MetricsCollector::system_slowdown, mirrored.
-      WeightedMean wm;
-      for (std::size_t i = 0; i < n_; ++i) {
-        if (lane.m_slowdown[i].count() > 0) {
-          wm.add(lane.m_slowdown[i].mean(),
-                 static_cast<double>(lane.m_slowdown[i].count()));
-        }
-      }
-      out.system_slowdown = wm.mean();
-    }
-    out.records = lane.records;
+    const MetricsCollector& m = lane.metrics;
+    out.system_slowdown = m.system_slowdown();
+    out.records = m.records();
     out.cls.resize(n_);
     for (std::size_t i = 0; i < n_; ++i) {
-      out.cls[i].mean_slowdown = lane.m_slowdown[i].mean();
-      out.cls[i].mean_delay = lane.m_delay[i].mean();
-      out.cls[i].completed = lane.m_slowdown[i].count();
-      out.cls[i].windows = lane.series[i].windows;
+      const auto cls = static_cast<ClassId>(i);
+      out.cls[i].mean_slowdown = m.slowdown(cls).mean();
+      out.cls[i].mean_delay = m.delay(cls).mean();
+      out.cls[i].completed = m.completed(cls);
+      out.cls[i].windows = m.windows(cls);
     }
     out.settle_tu = detail::settle_times(cfg_, out);
     return out;

@@ -1,7 +1,7 @@
 // Request-lifecycle span tracing (schema "psd.rt.trace.v1").
 //
 // A Span is the causal record of one sampled request: producer ingress,
-// ring-pop admission verdict, staging release into the embedded server,
+// ring-pop admission verdict, staging release to its class task server,
 // service start, and completion — each on the shared time axis — plus the
 // controller tick whose allocation governed it.  Spans are recorded by the
 // shard thread into a per-shard lock-free SPSC ring (SpanRing) and drained

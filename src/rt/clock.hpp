@@ -12,9 +12,9 @@
 // Sealed-variant idiom as in ArrivalVariant/SamplerVariant: no virtual
 // dispatch on the now() hot path, value semantics, closed set.
 //
-// Time values are double seconds (Time/Duration aliases); the embedded
-// per-shard simulators run on the SAME axis, which is what makes rt metrics
-// immune to thread-scheduling noise — see src/rt/README.md.
+// Time values are double seconds (Time/Duration aliases); the shards' task
+// servers run on the SAME axis, which is what makes rt metrics immune to
+// thread-scheduling noise — see src/rt/README.md.
 #pragma once
 
 #include <atomic>

@@ -55,8 +55,8 @@ void ThreadGroup::drain(Shard& shard, int cpu) {
   spawn(cpu, [&shard, clock = clock_] {
     if (shard.drain(clock->now()) == 0) {
       // Nothing arrived: yield the core instead of spinning.  Latency this
-      // adds lands in mean_ingress_wait, never in slowdowns (the embedded
-      // simulator timestamps are exact).
+      // adds lands in mean_ingress_wait, never in slowdowns (service
+      // timestamps are exact model times).
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   });

@@ -4,13 +4,16 @@
 // the thread lifecycle that drives it.  Everything that wants to EMBED a
 // runtime (the cluster dispatcher treating it as one node of many,
 // deterministic tests injecting hand-built arrivals, psdserved as the 1-node
-// special case) needs only the first concern, behind three verbs:
+// special case) needs only the first concern, behind two verbs:
 //
-//   submit()    — inject one request (per-class round-robin over the shards,
-//                 so per-shard class mixes stay aligned with the global mix;
-//                 the runtime's own load sources each spray through one),
-//   snapshot()  — read the seqlock-published per-shard state,
-//   drain()     — advance every shard to `now` on the calling thread.
+//   submit()           — inject one request (per-class round-robin over the
+//                        shards, so per-shard class mixes stay aligned with
+//                        the global mix; the runtime's own load sources each
+//                        spray through one),
+//   shard_snapshots()  — read the seqlock-published per-shard state.
+//
+// Shards are drained through the lifecycle forwards below (step_to, run)
+// or, in a cluster, by its per-node drain groups.
 //
 // Rates are not a handle verb: a cluster steers its nodes' shards through
 // one rt::Controller (rt/controller.hpp) with a shard group per node.
@@ -18,7 +21,7 @@
 // The handle is a non-owning view: it borrows the Runtime and adds only the
 // round-robin cursors.  Thread discipline mirrors the components it fronts —
 // submit() from one dispatcher thread at a time (the cursors are plain
-// integers), drain() from the shard owner; snapshot readers are free.
+// integers); snapshot readers are free.
 #pragma once
 
 #include <vector>
@@ -37,7 +40,7 @@ class RuntimeHandle {
   bool submit(const Request& req) {
     std::size_t& cursor = rr_[req.cls];
     const std::size_t shard = cursor;
-    cursor = (cursor + 1) % rt_->num_shards();
+    if (++cursor == rt_->num_shards()) cursor = 0;
     return rt_->shard(shard).submit(req);
   }
 
@@ -49,16 +52,6 @@ class RuntimeHandle {
       out.push_back(rt_->shard(i).snapshot());
     }
     return out;
-  }
-
-  /// Advance every shard's embedded simulator to `now` and ingest its
-  /// backlog on the calling thread; returns requests popped.
-  std::size_t drain(Time now) {
-    std::size_t popped = 0;
-    for (std::size_t i = 0; i < rt_->num_shards(); ++i) {
-      popped += rt_->shard(i).drain(now);
-    }
-    return popped;
   }
 
   // Lifecycle forwards — psdserved runs a whole serving session through the

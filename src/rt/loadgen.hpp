@@ -61,7 +61,9 @@ class LoadSource {
  protected:
   /// Drops are counted where they happen (Shard::submit), not here.
   void route(const Request& req) {
-    produced_.fetch_add(1, std::memory_order_relaxed);
+    // Single writer (the source's thread): a plain load + store, no RMW.
+    produced_.store(produced_.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
     sink_(req);
   }
 

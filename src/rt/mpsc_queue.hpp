@@ -86,13 +86,22 @@ class MpscQueue {
 
   std::size_t capacity() const { return mask_ + 1; }
 
+  /// Successful pushes so far (any thread).  A producer claims its slot
+  /// here before the value becomes poppable, so a consumer-side count of
+  /// popped values, read first with acquire, never exceeds this.
+  std::uint64_t enqueued() const {
+    return enqueue_pos_.load(std::memory_order_acquire);
+  }
+
  private:
-  struct Cell {
+  static constexpr std::size_t kCacheLine = 64;
+
+  /// One cell per cache line: a 56-byte request plus its sequence word
+  /// fills the line exactly instead of straddling two.
+  struct alignas(kCacheLine) Cell {
     std::atomic<std::size_t> seq{0};
     T value{};
   };
-
-  static constexpr std::size_t kCacheLine = 64;
 
   std::vector<Cell> cells_;
   std::size_t mask_ = 0;

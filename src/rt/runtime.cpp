@@ -133,7 +133,7 @@ WindowFold fold_windows(const std::vector<Shard*>& shards,
   for (std::size_t c = 1; c < n; ++c) {
     std::vector<const std::vector<IntervalStat>*> base, cls;
     for (const Shard* shard : shards) {
-      const auto& m = shard->server().metrics();
+      const auto& m = shard->metrics();
       base.push_back(&m.windows(0));
       cls.push_back(&m.windows(static_cast<ClassId>(c)));
     }
@@ -151,7 +151,7 @@ WindowFold fold_windows(const std::vector<Shard*>& shards,
   auto merged = [&](ClassId cls) {
     std::vector<IntervalStat> out;
     for (const Shard* shard : shards) {
-      merge_windows_into(out, shard->server().metrics().windows(cls));
+      merge_windows_into(out, shard->metrics().windows(cls));
     }
     return out;
   };
@@ -171,7 +171,6 @@ WindowFold fold_windows(const std::vector<Shard*>& shards,
 }
 
 void Runtime::build_shards(double shard_capacity) {
-  Rng master(cfg_.seed);
   ShardConfig sc;
   sc.num_classes = cfg_.num_classes();
   sc.capacity = shard_capacity;
@@ -194,7 +193,7 @@ void Runtime::build_shards(double shard_capacity) {
   const SamplerVariant dist = make_sampler(cfg_.size_dist);
   for (std::size_t i = 0; i < cfg_.shards; ++i) {
     sc.shard_id = static_cast<std::uint32_t>(i);
-    shards_.push_back(std::make_unique<Shard>(sc, master.fork(9000 + i)));
+    shards_.push_back(std::make_unique<Shard>(sc));
     if (cfg_.admission.active()) {
       // One gate per shard, sized at shard capacity — gate state stays
       // shard-thread-private; the controller only stages estimates.

@@ -1,19 +1,23 @@
 // A worker shard: one thread's slice of the serving runtime.
 //
-// Each shard owns a complete single-node PSD pipeline — a private Simulator
-// plus a Server (waiting queues, dedicated-rate backend, metrics) — and runs
-// it on the WALL clock: drain(now) advances the embedded simulator to `now`,
-// so scheduled completions fire at their exact model times and only then
-// injects freshly arrived requests.  The embedded simulator is the shard's
-// service engine; the wall clock merely gates how far it may advance.  The
-// payoff is that service_start/departure timestamps are exact on the shared
-// time axis no matter how late the OS schedules the shard thread, which is
-// what makes slowdown ratios reproducible on loaded machines (and bitwise
+// Each shard serves its classes as the paper's task servers: class c is a
+// private fluid server of rate r_c (sched/dedicated_class.hpp), so between
+// rate handoffs the classes share no state and each lives in one per-class
+// block — the in-service request, its remaining work and completion time,
+// and one FIFO of {arrival, size} entries with a release cursor.  The shard
+// runs on the WALL clock: drain(now) first fires every completion due by
+// `now` at its exact model time (a class's completions chain back to back,
+// each next service starting at its predecessor's departure), and only then
+// injects freshly arrived requests.  The wall clock merely gates how far
+// service may advance; it never stamps a metric.  The payoff is that
+// service_start/departure timestamps are exact on the shared time axis no
+// matter how late the OS schedules the shard thread, which is what makes
+// slowdown ratios reproducible on loaded machines (and bitwise
 // deterministic under ManualClock).
 //
 // Ingress is a lock-free MPSC ring fed by the load-generator threads; on
-// pop, a request is stamped with its shard-entry time and parked in a
-// per-class staging queue behind a deficit token bucket charged at the
+// pop, a request is stamped with its shard-entry time and staged at the
+// tail of its class FIFO behind a deficit token bucket charged at the
 // class's allocated rate.  The bucket is the rt-side rate enforcement
 // derived from psd_allocation: a class consumes work no faster than r_c in
 // the long run, and time spent staged counts toward its queueing delay (the
@@ -31,14 +35,16 @@
 #include <mutex>
 #include <vector>
 
+#include "admission/admission.hpp"
 #include "obs/counters.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
 #include "rt/mpsc_queue.hpp"
 #include "rt/seqlock.hpp"
 #include "rt/token_bucket.hpp"
+#include "sched/dedicated_class.hpp"
 #include "server/load_estimator.hpp"
-#include "server/server.hpp"
+#include "server/metrics.hpp"
 #include "stats/histogram.hpp"
 
 namespace psd::rt {
@@ -151,7 +157,7 @@ struct ShardConfig {
 
 class Shard {
  public:
-  Shard(const ShardConfig& cfg, Rng rng);
+  explicit Shard(const ShardConfig& cfg);
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -160,9 +166,10 @@ class Shard {
   /// production wall time.  Returns false (and counts a drop) on a full ring.
   bool submit(const Request& req);
 
-  /// Shard thread only: advance the embedded simulator to `now`, ingest the
-  /// ingress backlog, release staged work under the token buckets, roll the
-  /// estimator window, publish a fresh snapshot.  Returns requests popped.
+  /// Shard thread only: fire the completions due by `now`, adopt a rate
+  /// handoff, ingest the ingress backlog, release staged work under the
+  /// token buckets, roll the estimator window, publish a fresh snapshot.
+  /// Returns requests popped.
   std::size_t drain(Time now);
 
   /// Controller thread: stage a new per-class rate vector; the shard adopts
@@ -174,9 +181,9 @@ class Shard {
                    std::uint64_t tick_seq = 0);
 
   /// Setup time (before any producer/controller thread runs): install a
-  /// pre-sim admission gate.  Shed requests are counted per class,
-  /// separately from ring-full drops, and never reach the estimator or the
-  /// embedded simulator.
+  /// pre-queue admission gate.  Shed requests are counted per class,
+  /// separately from ring-full drops, and never reach the estimator or a
+  /// class FIFO.
   void set_admission(std::unique_ptr<AdmissionController> admission);
 
   /// Controller thread: stage fresh per-class OFFERED arrival-rate
@@ -192,11 +199,13 @@ class Shard {
   ShardTelemetry telemetry() const { return telem_snap_.read(); }
 
   /// Requests accepted by submit() and neither completed nor shed by the
-  /// admission gate (any thread).
+  /// admission gate (any thread).  The ring's enqueue cursor counts every
+  /// accepted submit; it is claimed before the request becomes visible, and
+  /// the finished counts are read first, so they cannot pass it.
   std::uint64_t outstanding() const {
-    const std::uint64_t pushed = pushed_.load(std::memory_order_acquire);
     const std::uint64_t done = done_.load(std::memory_order_acquire) +
                                shed_n_.load(std::memory_order_acquire);
+    const std::uint64_t pushed = ingress_.enqueued();
     return pushed > done ? pushed - done : 0;
   }
 
@@ -219,8 +228,10 @@ class Shard {
   /// threads have stopped; single-threaded from here on.
   void finalize(Time now);
 
-  /// Direct access for deterministic tests (no concurrent drains).
-  const Server& server() const { return *server_; }
+  /// Per-class slowdown metrics (post-warmup).  Shard thread mutates them
+  /// per completion: read after threads stopped or under a deterministic
+  /// drive.
+  const MetricsCollector& metrics() const { return metrics_; }
   const ShardConfig& config() const { return cfg_; }
 
   /// Fine-grained POST-WARMUP slowdown distributions (stats/histogram.hpp
@@ -250,15 +261,44 @@ class Shard {
 
  private:
   /// A traced request between admission and completion: `ordinal` is its
-  /// per-class accepted ordinal, which — staging and the dedicated-rate
-  /// backend both being FIFO within a class — equals its release and
-  /// completion ordinals, so the later hooks find it by ordinal match
-  /// instead of a per-request map.
+  /// per-class accepted ordinal, which — the class FIFO serving in arrival
+  /// order — equals its release and completion ordinals, so the later hooks
+  /// find it by ordinal match instead of a per-request map.
   struct PendingTrace {
     std::uint64_t ordinal = 0;
     obs::Span span;
   };
 
+  /// A popped request: arrival is the shard-entry time.
+  struct Entry {
+    Time arrival;
+    Work size;
+  };
+
+  /// Everything one class's drain touches, in one block.  fifo[head, rel)
+  /// is released and waits for service; fifo[rel, tail) is staged behind
+  /// the bucket.  An idle class has head == rel: a completion or a release
+  /// starts the next service at once.
+  struct ClassBlock {
+    Ring<Entry> fifo;
+    std::uint64_t rel = 0;
+    TokenBucket bucket;
+    bool busy = false;
+    Entry cur{0.0, 0.0};         ///< In service.
+    Time cur_start = 0.0;        ///< Its service start.
+    Work remaining = 0.0;        ///< Work left, settled at rate handoffs.
+    Time last_settle = 0.0;
+    Time completion_at = kInf;   ///< kInf while idle.
+    std::uint64_t accepted = 0;  ///< Popped and admitted.
+    std::uint64_t released = 0;  ///< Released by the bucket.
+    std::uint64_t done = 0;      ///< Completed, warmup included.
+  };
+
+  void start_service(ClassBlock& b, Time now, double rate);
+  /// Complete class c's in-service request at its completion time and start
+  /// the next released one.
+  void complete(ClassId c);
+  void serve_until(Time now);
   void refresh_estimates();
   void publish(Time now);
   void publish_telemetry(Time now);
@@ -270,12 +310,11 @@ class Shard {
   void trace_complete(const Request& req);
 
   ShardConfig cfg_;
-  Simulator sim_;
-  std::unique_ptr<Server> server_;
+  std::vector<ClassBlock> blocks_;
+  MetricsCollector metrics_;
   MpscQueue<Request> ingress_;
-  std::vector<std::deque<Request>> staged_;
-  std::vector<TokenBucket> buckets_;
   LoadEstimator estimator_;
+  Time now_ = 0.0;  ///< Last drain instant (drains never move back).
   Time next_roll_;
   std::vector<double> rates_;
 
@@ -295,16 +334,17 @@ class Shard {
   std::vector<double> pending_offered_;
   bool has_pending_admission_ = false;
 
-  // Cross-thread counters.  Drops are per class (any producer may reject
-  // any class), each on its own cache line.
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> done_{0};
-  std::atomic<std::uint64_t> shed_n_{0};  ///< Shard thread writes, any reads.
+  // Cross-thread counters.  done_ and shed_n_ have one writer, the shard
+  // thread, which publishes them once per drain on a line no producer
+  // writes.  Drops are per class (any producer may reject any class), each
+  // on its own cache line.
+  alignas(64) std::atomic<std::uint64_t> done_{0};
+  std::atomic<std::uint64_t> shed_n_{0};
   std::array<obs::Counter, kMaxRtClasses> drops_cls_;
 
   // Shard-thread-private statistics.
-  std::vector<std::uint64_t> accepted_;
-  std::vector<std::uint64_t> done_cls_;
+  std::uint64_t done_total_ = 0;  ///< Published as done_ once per drain.
+  std::uint64_t shed_total_ = 0;  ///< Published as shed_n_ once per drain.
   std::vector<MeanStat> ingress_wait_;
   std::vector<double> lambda_cache_;
   std::vector<double> window_sd_cache_;
@@ -323,13 +363,11 @@ class Shard {
 
   // Request-lifecycle tracing (shard-thread private except the SPSC ring).
   // trace_mask_ follows the sample_mask_ idiom: all-ones when tracing is
-  // off, so every span hook is one AND+branch that never fires.  released_
-  // is allocated unconditionally (per-class u64s) so the heap layout does
-  // not shift with tracing; the ring and pending deques — like the
-  // telemetry histograms — are allocated LAST in the ctor.
+  // off, so every span hook is one AND+branch that never fires.  The ring
+  // and pending deques — like the telemetry histograms — are allocated
+  // LAST in the ctor, so the heap layout does not shift with tracing.
   std::uint64_t trace_mask_ = ~std::uint64_t{0};
   std::uint64_t ctrl_tick_seq_ = 0;  ///< Adopted at the last rate handoff.
-  std::vector<std::uint64_t> released_;  ///< Staging releases, per class.
   std::vector<std::deque<PendingTrace>> pending_spans_;
   std::unique_ptr<obs::SpanRing> span_ring_;
 

@@ -1,14 +1,9 @@
 #include "sched/dedicated_rate.hpp"
 
 #include "common/error.hpp"
+#include "sched/dedicated_class.hpp"
 
 namespace psd {
-
-namespace {
-// A paused class (rate ~ 0) never completes; keep a tiny floor so the
-// completion time stays finite and the event heap stays sane.
-constexpr double kMinRate = 1e-9;
-}  // namespace
 
 DedicatedRateBackend::DedicatedRateBackend(RateChangePolicy policy)
     : policy_(policy) {}
@@ -43,17 +38,12 @@ std::size_t DedicatedRateBackend::in_service() const {
 void DedicatedRateBackend::settle(ClassId cls) {
   Slot& s = slots_[cls];
   if (!s.busy) return;
-  const Time now = sim_->now();
-  s.remaining -= (now - s.last_settle) * rates_[cls];
-  if (s.remaining < 0.0) s.remaining = 0.0;
-  s.last_settle = now;
+  settle_remaining(s.remaining, s.last_settle, rates_[cls], sim_->now());
 }
 
 void DedicatedRateBackend::schedule_completion(ClassId cls) {
   Slot& s = slots_[cls];
-  const double rate = std::max(rates_[cls], kMinRate);
-  const Duration left = s.remaining / rate;
-  s.completion_at = sim_->now() + left;
+  s.completion_at = completion_time(sim_->now(), s.remaining, rates_[cls]);
   sim_->set_stream_time(s.stream, s.completion_at);
 }
 

@@ -14,12 +14,6 @@ LoadEstimator::LoadEstimator(std::size_t num_classes, Duration window,
   cur_work_.assign(n_, 0.0);
 }
 
-void LoadEstimator::on_arrival(ClassId cls, Work size) {
-  PSD_REQUIRE(cls < n_, "class id out of range");
-  ++cur_arrivals_[cls];
-  cur_work_[cls] += size;
-}
-
 void LoadEstimator::roll(Time now) {
   const Duration len = now - window_start_;
   PSD_REQUIRE(len > 0.0, "roll() before any time elapsed");

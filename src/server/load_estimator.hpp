@@ -14,6 +14,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace psd {
@@ -23,7 +24,14 @@ class LoadEstimator {
   LoadEstimator(std::size_t num_classes, Duration window,
                 std::size_t history = 5);
 
-  void on_arrival(ClassId cls, Work size);
+  void on_arrival(ClassId cls, Work size) { on_arrivals(cls, 1, size); }
+
+  /// `count` arrivals of `work` units in total (a burst at once).
+  void on_arrivals(ClassId cls, std::uint64_t count, Work work) {
+    PSD_REQUIRE(cls < n_, "class id out of range");
+    cur_arrivals_[cls] += count;
+    cur_work_[cls] += work;
+  }
 
   /// Close the current window at time `now` (its start is tracked
   /// internally); call at every window boundary.

@@ -15,21 +15,6 @@ MetricsCollector::MetricsCollector(const MetricsConfig& cfg) : cfg_(cfg) {
   }
 }
 
-void MetricsCollector::on_complete(const Request& req) {
-  PSD_REQUIRE(req.cls < slowdown_.size(), "class id out of range");
-  PSD_CHECK(req.completed(), "on_complete with incomplete request");
-  if (req.departure < cfg_.warmup_end) return;
-  const double sd = req.slowdown();
-  slowdown_[req.cls].add(sd);
-  delay_[req.cls].add(req.delay());
-  service_[req.cls].add(req.service_elapsed);
-  series_[req.cls].add(req.departure, sd);
-  if (cfg_.record_requests && req.departure >= cfg_.record_from &&
-      req.departure < cfg_.record_to) {
-    records_.push_back(req);
-  }
-}
-
 void MetricsCollector::finalize() {
   for (auto& s : series_) s.finalize();
 }

@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/error.hpp"
 #include "stats/interval_series.hpp"
 #include "stats/online.hpp"
 #include "workload/request.hpp"
@@ -46,7 +47,21 @@ class MetricsCollector {
  public:
   explicit MetricsCollector(const MetricsConfig& cfg);
 
-  void on_complete(const Request& req);
+  /// Inline: the rt shard's completion burst calls this per request.
+  void on_complete(const Request& req) {
+    PSD_REQUIRE(req.cls < slowdown_.size(), "class id out of range");
+    PSD_CHECK(req.completed(), "on_complete with incomplete request");
+    if (req.departure < cfg_.warmup_end) return;
+    const double sd = req.slowdown();
+    slowdown_[req.cls].add(sd);
+    delay_[req.cls].add(req.delay());
+    service_[req.cls].add(req.service_elapsed);
+    series_[req.cls].add(req.departure, sd);
+    if (cfg_.record_requests && req.departure >= cfg_.record_from &&
+        req.departure < cfg_.record_to) {
+      records_.push_back(req);
+    }
+  }
 
   /// Close open windows; call once when the run ends.
   void finalize();

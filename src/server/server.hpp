@@ -51,10 +51,9 @@ class Server final : public RequestSink {
   /// Begin the reallocation loop (first tick one period after `origin`).
   void start(Time origin);
 
-  /// Externally install absolute per-class rates (sum <= capacity).  The rt
-  /// runtime makes reallocation decisions outside the simulation (its
-  /// controller thread spans shards), so the transition realloc_tick performs
-  /// internally is also exposed as an entry point.
+  /// Externally install absolute per-class rates (sum <= capacity): the
+  /// transition realloc_tick performs internally, for callers that decide
+  /// rates outside the simulation.
   void set_rates(const std::vector<double>& rates);
 
   // RequestSink: entry point for generators / trace players.

@@ -27,15 +27,6 @@ void IntervalSeries::roll_to(Time t) {
   }
 }
 
-void IntervalSeries::add(Time t, double value) {
-  PSD_CHECK(!finalized_, "add() after finalize()");
-  if (t < current_start_) t = current_start_;  // clamp clock jitter
-  roll_to(t);
-  ++current_count_;
-  current_sum_ += value;
-  current_max_ = std::max(current_max_, value);
-}
-
 void merge_windows_into(std::vector<IntervalStat>& dst,
                         const std::vector<IntervalStat>& src) {
   if (dst.size() < src.size()) dst.resize(src.size());

@@ -6,9 +6,11 @@
 // short-timescale traces (Figs. 7, 8) can be computed afterwards.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace psd {
@@ -36,7 +38,16 @@ class IntervalSeries {
  public:
   IntervalSeries(Time origin, Duration window);
 
-  void add(Time t, double value);
+  /// Inline: called per completion; only a window crossing leaves the
+  /// fast path.
+  void add(Time t, double value) {
+    PSD_CHECK(!finalized_, "add() after finalize()");
+    if (t < current_start_) t = current_start_;  // clamp clock jitter
+    if (t >= current_start_ + window_) roll_to(t);
+    ++current_count_;
+    current_sum_ += value;
+    current_max_ = std::max(current_max_, value);
+  }
 
   /// Close the currently open window (call once at end of run).
   void finalize();

@@ -227,6 +227,25 @@ TEST(ClusterRt, RejectsFlagsTheClusterDriveIgnores) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+TEST(ClusterRt, RejectsExporterKnobsWithoutAnExporter) {
+  // --obs-profile would arm timers in every node shard that nothing reads;
+  // --stats-interval and --trace-sample tune an exporter and a tracer the
+  // cluster never builds.
+  auto cfg = base_cfg({AssignmentPolicy::kRoundRobin});
+  cfg.node.obs.enabled = true;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.node.obs.profile = true;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.node.obs.profile = false;
+  cfg.node.obs.stats_interval = 0.1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.node.obs.stats_interval = obs::ObsConfig{}.stats_interval;
+  cfg.node.obs.trace_sample_period = 4;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.node.obs.trace_sample_period = obs::ObsConfig{}.trace_sample_period;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(ClusterRt, SingleNodeClusterMatchesConfigValidation) {
   auto cfg = base_cfg({AssignmentPolicy::kRoundRobin});
   cfg.nodes = 1;

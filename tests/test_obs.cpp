@@ -142,7 +142,7 @@ ShardConfig telemetry_shard_config() {
 }
 
 TEST(ShardTelemetry, HistogramCountsShadowTheCounters) {
-  Shard shard(telemetry_shard_config(), Rng(5));
+  Shard shard(telemetry_shard_config());
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(shard.submit(make_request(i % 2, i * 0.05, 0.01)));
   }
@@ -165,7 +165,7 @@ TEST(ShardTelemetry, HistogramCountsShadowTheCounters) {
 TEST(ShardTelemetry, SampledFillsKeepCountersExact) {
   ShardConfig cfg = telemetry_shard_config();
   cfg.telemetry_sample_period = 4;
-  Shard shard(cfg, Rng(5));
+  Shard shard(cfg);
   for (int i = 0; i < 24; ++i) {
     ASSERT_TRUE(shard.submit(make_request(i % 2, i * 0.01, 0.01)));
   }
@@ -190,7 +190,7 @@ TEST(ShardTelemetry, SampledFillsKeepCountersExact) {
 TEST(ShardTelemetry, DropsAreCountedPerClass) {
   ShardConfig cfg = telemetry_shard_config();
   cfg.ingress_capacity = 2;
-  Shard shard(cfg, Rng(5));
+  Shard shard(cfg);
   EXPECT_TRUE(shard.submit(make_request(0, 0.0, 0.01)));
   EXPECT_TRUE(shard.submit(make_request(1, 0.0, 0.01)));
   EXPECT_FALSE(shard.submit(make_request(1, 0.0, 0.01)));

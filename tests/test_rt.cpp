@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 #include <thread>
 
@@ -17,6 +19,8 @@
 #include "rt/runtime.hpp"
 #include "rt/seqlock.hpp"
 #include "rt/token_bucket.hpp"
+#include "sched/dedicated_rate.hpp"
+#include "server/server.hpp"
 
 namespace psd::rt {
 namespace {
@@ -118,7 +122,7 @@ TEST(Shard, ServesWithExactSimulatedTimestamps) {
   ShardConfig cfg = two_class_config();
   cfg.num_classes = 1;
   cfg.initial_rates = {1.0};
-  Shard shard(cfg, Rng(1));
+  Shard shard(cfg);
 
   ASSERT_TRUE(shard.submit(make_request(0, 0.0, 1.0, 1)));
   ASSERT_TRUE(shard.submit(make_request(0, 0.0, 1.0, 2)));
@@ -129,7 +133,7 @@ TEST(Shard, ServesWithExactSimulatedTimestamps) {
   // exact model times no matter when drain runs.
   shard.drain(5.0);
   EXPECT_EQ(shard.outstanding(), 0u);
-  const auto& m = shard.server().metrics();
+  const auto& m = shard.metrics();
   ASSERT_EQ(m.completed(0), 2u);
   // Slowdowns: 0/1 (immediate service) and 1/1 (waited one service time).
   EXPECT_DOUBLE_EQ(m.slowdown(0).mean(), 0.5);
@@ -139,7 +143,7 @@ TEST(Shard, TokenBucketStagesWorkBeyondTheClassRate) {
   ShardConfig cfg = two_class_config();
   cfg.bucket_burst_seconds = 1.0;  // burst = 1 work unit
   cfg.initial_rates = {0.5, 0.5};
-  Shard shard(cfg, Rng(1));
+  Shard shard(cfg);
 
   // A size-2 giant against a burst of 1: released immediately (deficit
   // semantics), leaving the bucket at -1; the follow-up request stages
@@ -159,7 +163,7 @@ TEST(Shard, TokenBucketStagesWorkBeyondTheClassRate) {
 TEST(Shard, CountsDropsWhenIngressOverflows) {
   ShardConfig cfg = two_class_config();
   cfg.ingress_capacity = 2;
-  Shard shard(cfg, Rng(1));
+  Shard shard(cfg);
   EXPECT_TRUE(shard.submit(make_request(0, 0.0, 1.0)));
   EXPECT_TRUE(shard.submit(make_request(0, 0.0, 1.0)));
   EXPECT_FALSE(shard.submit(make_request(0, 0.0, 1.0)));
@@ -170,7 +174,7 @@ TEST(Shard, CountsDropsWhenIngressOverflows) {
 
 TEST(Shard, AppliesControllerRatesAtNextDrain) {
   ShardConfig cfg = two_class_config();
-  Shard shard(cfg, Rng(1));
+  Shard shard(cfg);
   EXPECT_DOUBLE_EQ(shard.snapshot().rate[0], 0.5);
   shard.apply_rates({0.8, 0.2});
   EXPECT_DOUBLE_EQ(shard.snapshot().rate[0], 0.5);  // not yet
@@ -181,7 +185,7 @@ TEST(Shard, AppliesControllerRatesAtNextDrain) {
 
 TEST(Shard, EstimatorTracksArrivalRatePerWindow) {
   ShardConfig cfg = two_class_config();
-  Shard shard(cfg, Rng(1));
+  Shard shard(cfg);
   // 30 class-0 and 10 class-1 arrivals in the first 1s window.
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(shard.submit(make_request(0, i * 0.03, 0.01)));
@@ -197,11 +201,172 @@ TEST(Shard, EstimatorTracksArrivalRatePerWindow) {
   EXPECT_DOUBLE_EQ(snap.lambda_hat[1], 10.0);
 }
 
+// ------------------------------------------- shard vs event-engine oracle
+
+/// The general event engine the shard's class blocks replace: a Simulator +
+/// Server + DedicatedRateBackend, fed through the same staging discipline
+/// (requests enter at the drain instant, deficit buckets release them) and
+/// driven in the shard's drain order — completions up to `now`, then the
+/// rate handoff, then injection and release.
+class EngineOracle {
+ public:
+  EngineOracle(const ShardConfig& cfg, const std::vector<double>& rates)
+      : buckets_(cfg.num_classes), staged_(cfg.num_classes) {
+    ServerConfig sc;
+    sc.num_classes = cfg.num_classes;
+    sc.capacity = cfg.capacity;
+    sc.metrics.num_classes = cfg.num_classes;
+    sc.metrics.warmup_end = cfg.warmup;
+    sc.metrics.window = cfg.window;
+    sc.initial_rates = rates;
+    server_ = std::make_unique<Server>(
+        sim_, sc, std::make_unique<DedicatedRateBackend>(), nullptr, Rng(1));
+    for (std::size_t c = 0; c < cfg.num_classes; ++c) {
+      buckets_[c] = TokenBucket(rates[c], cfg.capacity * cfg.bucket_burst_seconds,
+                                0.0);
+    }
+  }
+
+  void drain(Time now, const std::vector<Request>& arrivals,
+             const std::vector<double>* rates) {
+    sim_.run_until(now);
+    if (rates != nullptr) {
+      server_->set_rates(*rates);
+      for (std::size_t c = 0; c < buckets_.size(); ++c) {
+        buckets_[c].set_rate((*rates)[c], now);
+      }
+    }
+    for (Request r : arrivals) {
+      r.arrival = now;
+      staged_[r.cls].push_back(r);
+    }
+    for (std::size_t c = 0; c < staged_.size(); ++c) {
+      auto& q = staged_[c];
+      while (!q.empty() && buckets_[c].try_consume(q.front().size, now)) {
+        server_->submit(q.front());
+        q.pop_front();
+      }
+    }
+  }
+
+  std::size_t staged(ClassId c) const { return staged_[c].size(); }
+  Server& server() { return *server_; }
+
+ private:
+  Simulator sim_;
+  std::unique_ptr<Server> server_;
+  std::vector<TokenBucket> buckets_;
+  std::vector<std::deque<Request>> staged_;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_metrics_bitwise_equal(const MetricsCollector& shard,
+                                  const MetricsCollector& oracle) {
+  ASSERT_EQ(shard.num_classes(), oracle.num_classes());
+  for (ClassId c = 0; c < shard.num_classes(); ++c) {
+    SCOPED_TRACE(testing::Message() << "class " << c);
+    EXPECT_EQ(shard.completed(c), oracle.completed(c));
+    EXPECT_EQ(bits(shard.slowdown(c).sum), bits(oracle.slowdown(c).sum));
+    EXPECT_EQ(bits(shard.delay(c).sum), bits(oracle.delay(c).sum));
+    EXPECT_EQ(bits(shard.service(c).sum), bits(oracle.service(c).sum));
+    EXPECT_EQ(bits(shard.slowdown(c).mean()), bits(oracle.slowdown(c).mean()));
+    const auto& a = shard.windows(c);
+    const auto& b = oracle.windows(c);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t w = 0; w < a.size(); ++w) {
+      EXPECT_EQ(bits(a[w].start), bits(b[w].start)) << "window " << w;
+      EXPECT_EQ(a[w].count, b[w].count) << "window " << w;
+      EXPECT_EQ(bits(a[w].mean), bits(b[w].mean)) << "window " << w;
+      EXPECT_EQ(bits(a[w].max), bits(b[w].max)) << "window " << w;
+    }
+  }
+}
+
+TEST(Shard, ClassBlocksMatchTheEventEngineBitForBit) {
+  ShardConfig cfg = two_class_config();
+  cfg.bucket_burst_seconds = 1.0;  // burst = 1 work unit
+  cfg.warmup = 0.5;
+  cfg.initial_rates = {0.5, 0.5};
+  Shard shard(cfg);
+  EngineOracle oracle(cfg, cfg.initial_rates);
+
+  std::size_t drains = 0;
+  auto step = [&](Time now, const std::vector<Request>& arrivals,
+                  const std::vector<double>* rates) {
+    for (const Request& r : arrivals) ASSERT_TRUE(shard.submit(r));
+    if (rates != nullptr) shard.apply_rates(*rates);
+    shard.drain(now);
+    oracle.drain(now, arrivals, rates);
+    ++drains;
+    const ShardSnapshot snap = shard.snapshot();
+    for (ClassId c = 0; c < 2; ++c) {
+      ASSERT_EQ(snap.staged[c], oracle.staged(c)) << "drain " << drains;
+    }
+  };
+
+  // Scripted: every case the block must reproduce exactly.
+  //  t=0  class 0 starts a unit request (due at 2 at rate 0.5); class 1
+  //       releases a 3-unit giant against a 1-unit burst (bucket -2, in
+  //       deficit) and stages the 0.5-unit request behind it.
+  step(0.0, {make_request(0, 0.0, 1.0), make_request(1, 0.0, 3.0),
+             make_request(1, 0.0, 0.5)},
+       nullptr);
+  ASSERT_EQ(shard.snapshot().staged[1], 1u);
+  //  t=1  rate handoff mid-service on both classes: class 0 has 0.5 left,
+  //       now at rate 0.25, so it completes at exactly t=3.
+  const std::vector<double> handoff = {0.25, 0.75};
+  step(1.0, {}, &handoff);
+  //  t=2  class 0 queues behind its in-service request.
+  step(2.0, {make_request(0, 2.0, 0.25)}, nullptr);
+  //  t=3  completion tied exactly at the drain instant: it fires first,
+  //       the queued request starts at 3, the new arrival queues behind it,
+  //       and class 1's bucket is back at zero and releases its request.
+  step(3.0, {make_request(0, 3.0, 0.5)}, nullptr);
+  EXPECT_EQ(shard.metrics().completed(0), 1u);
+  EXPECT_EQ(shard.snapshot().staged[1], 0u);
+  //  A paused class keeps a finite completion time (rate floor).
+  const std::vector<double> paused = {0.0, 1.0};
+  step(3.5, {make_request(0, 3.5, 0.1)}, &paused);
+  const std::vector<double> resumed = {0.5, 0.5};
+  step(4.0, {}, &resumed);
+
+  // Randomized, about 65 % load: batches of arrivals at irregular drain
+  // instants, with rate handoffs every few drains, then empty drains until
+  // every staged request is released and served.
+  Rng rng(2024);
+  Time now = 4.0;
+  for (int k = 0; k < 1000; ++k) {
+    now += rng.uniform(0.01, 0.3);
+    std::vector<Request> arrivals;
+    const std::uint64_t count = rng.below(2);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      arrivals.push_back(make_request(static_cast<ClassId>(rng.below(2)), now,
+                                      rng.uniform(0.05, 0.35)));
+    }
+    std::vector<double> rates;
+    if (rng.below(7) == 0) {
+      const double share = rng.uniform(0.2, 0.8);
+      rates = {share, 1.0 - share};
+    }
+    step(now, arrivals, rates.empty() ? nullptr : &rates);
+  }
+  for (int k = 0; k < 100; ++k) step(now += 1.0, {}, nullptr);
+  const Time end = now + 1.0;
+  shard.finalize(end);
+  oracle.drain(end, {}, nullptr);
+  oracle.server().finalize();
+
+  EXPECT_EQ(shard.outstanding(), 0u);
+  EXPECT_GT(shard.metrics().completed_total(), 400u);
+  expect_metrics_bitwise_equal(shard.metrics(), oracle.server().metrics());
+}
+
 // ------------------------------------------------------------ controller
 
 TEST(Controller, ColdStartKeepsEqualSplitThenMatchesEq17) {
   ShardConfig cfg = two_class_config();
-  Shard shard(cfg, Rng(1));
+  Shard shard(cfg);
   ControllerConfig cc;
   cc.psd.delta = {1.0, 2.0};
   cc.psd.capacity = 1.0;

@@ -259,7 +259,7 @@ TEST(ShardTracing, SampledSpanCountIsExactlyCounterOverPeriod) {
   cfg.bucket_burst_seconds = 10.0;
   cfg.tracing = true;
   cfg.trace_sample_period = 4;
-  Shard shard(cfg, Rng(5));
+  Shard shard(cfg);
   ASSERT_TRUE(shard.tracing());
   for (int i = 0; i < 24; ++i) {
     ASSERT_TRUE(shard.submit(make_request(i % 2, i * 0.01, 0.01)));
@@ -297,7 +297,7 @@ TEST(ShardTracing, SampledSpanCountIsExactlyCounterOverPeriod) {
 TEST(ShardTracing, OffShardExposesNoRing) {
   ShardConfig cfg;
   cfg.num_classes = 2;
-  Shard shard(cfg, Rng(5));
+  Shard shard(cfg);
   EXPECT_FALSE(shard.tracing());
   std::vector<obs::Span> spans;
   EXPECT_EQ(shard.drain_spans(spans), 0u);

@@ -52,8 +52,9 @@ utilization, so total offered load scales with --nodes x --shards):
   (see psdserved --help for each; --allocator selects the GLOBAL
    allocator — node controllers run rate-less; --period-ms is the one
    controller cadence: node ticks, global reallocation, stats samples)
-  --pin, --metrics-port and --slo are rejected: the cluster drive pins
-  no threads and runs no per-node stats exporter
+  --pin, --metrics-port, --slo, --obs-profile, --stats-interval and
+  --trace-sample are rejected: the cluster drive pins no threads and
+  runs no per-node stats exporter or tracer
 
 checks & output:
   --check F               exit 1 unless the cluster-wide windowed-median
