@@ -5,9 +5,10 @@
 //     of serializing scenarios and parallelizing only replications.
 //   * lockstep_grid_per_task / lockstep_grid_lockstep8 — the same dedicated-
 //     backend grid executed in both replication modes: one replication per
-//     task vs lane-groups of K=8 on the lockstep batch kernel.  Before
-//     emitting, every point record of the two runs is compared byte-for-byte
-//     (the lockstep determinism contract); a mismatch fails the bench.
+//     task vs lane-groups of K=8 on the lockstep batch kernel, both on one
+//     worker thread.  Before emitting, every point record of the two runs
+//     is compared byte-for-byte (the lockstep determinism contract); a
+//     mismatch fails the bench.
 //
 //   ./micro_sweep [records.json]
 #include <chrono>
@@ -59,6 +60,10 @@ ModeRun run_mode(const GridSpec& grid, std::size_t runs,
   CampaignOptions opt;
   opt.runs = runs;
   opt.master_seed = 42;
+  // One worker: the grid is only 12 lane-group tasks of unequal cost, so on
+  // a multi-core pool the ratio would measure how they balance, not the
+  // kernel.
+  opt.threads = 1;
   opt.replication_mode = mode;
   opt.lockstep_lanes = lanes;
   ModeRun out;

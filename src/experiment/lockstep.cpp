@@ -9,9 +9,12 @@
 // per-class.  The kernel exploits that:
 //
 //   1. drain_class() bursts one (lane, class) pair through all its events
-//      strictly before the chunk boundary in a register-resident two-clock
-//      loop: no 5-slot scan, all indexing hoisted out of the loop, queued
-//      requests stored as compact {id, arrival, size} entries.
+//      strictly before the chunk boundary as a FCFS Lindley recursion —
+//      start = max(arrival, previous departure), departure = start +
+//      size / rate — with no 5-slot scan and no arrival-vs-completion merge:
+//      its branches go the same way almost every iteration, all indexing is
+//      hoisted out of the loop, and only requests still waiting at the
+//      boundary are stored, as compact {id, arrival, size} ring entries.
 //   2. generic_drain() — the 5-slot first-minimum scan — then handles the
 //      reallocation tick and any events tied exactly at the boundary
 //      (cascades included), in full per-task slot order.
@@ -30,6 +33,7 @@
 // run_scenario bit for bit.
 #include "experiment/lockstep.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -194,12 +198,16 @@ class LockstepKernel {
   }
 
   /// Burst-drain one (lane, class) pair's events with fire time strictly
-  /// before `T` (the chunk boundary = next tick time).  The projected
-  /// per-class event order equals the per-task order: within a class,
-  /// events sort by time with arrivals beating completions at ties (slot
-  /// 1+c < slot 1+n+c), and no state this loop touches is shared across
-  /// classes.  Events tied exactly at T are left to generic_drain, which
-  /// fires them after the tick in full slot order.
+  /// before `T` (the chunk boundary = next tick time) as a FCFS Lindley
+  /// recursion: between ticks the class rate is constant, so each request
+  /// starts at max(arrival, previous departure) and departs one service
+  /// time later.  This is the per-task event order projected onto the
+  /// class — no state touched here is shared across classes — and the same
+  /// arithmetic: an arrival tied with a completion queues first and then
+  /// starts at that same instant, which is what the max yields.  Arrivals
+  /// are consumed in order, so ids, draw refills and estimator sums match
+  /// too.  Events tied exactly at T are left to generic_drain, which fires
+  /// them after the tick in full slot order.
   void drain_class(std::size_t l, std::size_t c, Time T) {
     Time* clocks = clocks_.lane(l);
     Time arr_t = clocks[1 + c];
@@ -225,8 +233,7 @@ class LockstepKernel {
     const double* gaps = blocks_.gap_slice(l, c);
     const double* sizes = blocks_.size_slice(l, c);
     std::uint64_t gen = lane.gen_count[c];
-    std::uint64_t arrivals_seen = 0;
-    std::uint64_t est_count = 0;
+    const std::uint64_t gen_in = gen;
     double est_work = 0.0;
 
     MetricsCollector& metrics = lane.metrics;
@@ -237,64 +244,59 @@ class LockstepKernel {
     const RequestId id_hi = static_cast<RequestId>(c) << 48;
     const bool est_on = realloc_on_;
 
-    for (;;) {
-      if (arr_t <= comp_t) {  // arrival wins ties (slot order)
-        if (!(arr_t < T)) break;
-        const Time t = arr_t;
-        const double size = sizes[cursor];
-        ++cursor;
-        const RequestId id = id_hi | gen;
-        ++gen;
-        ++arrivals_seen;
-        if (est_on) {
-          ++est_count;
-          est_work += size;
-        }
-        if (busy) {
-          ring.push({id, t, size});
-        } else {
-          cur_id = id;
-          cur_arrival = t;
-          cur_size = size;
-          cur_sstart = t;
-          remaining = size;
-          last_settle = t;
-          busy = true;
-          comp_t = completion_time(t, remaining, rate);
-        }
-        if (cursor == LaneDrawBlocks::kBatch) {
-          blocks_.refill(l, c, lane.arrivals[c], dist_, lane.gen_rng[c]);
-          cursor = 0;
-        }
-        arr_t = t + gaps[cursor];
-      } else {  // completion
-        if (!(comp_t < T)) break;
-        const Time t = comp_t;
+    // The next arrival before T, consumed: RequestGenerator::arrive's id,
+    // size and gap reads, refilling the draw block on exhaustion.
+    auto take_arrival = [&]() {
+      const QEntry e{id_hi | gen, arr_t, sizes[cursor]};
+      ++cursor;
+      ++gen;
+      if (est_on) est_work += e.size;
+      if (cursor == LaneDrawBlocks::kBatch) {
+        blocks_.refill(l, c, lane.arrivals[c], dist_, lane.gen_rng[c]);
+        cursor = 0;
+      }
+      arr_t = e.arrival + gaps[cursor];
+      return e;
+    };
+
+    auto start = [&](const QEntry& e, Time at) {
+      cur_id = e.id;
+      cur_arrival = e.arrival;
+      cur_size = e.size;
+      cur_sstart = at;
+      remaining = e.size;
+      last_settle = at;
+      comp_t = completion_time(at, remaining, rate);
+    };
+
+    if (!busy) {  // idle, so comp_t is kInf and the next arrival is before T
+      const QEntry e = take_arrival();
+      start(e, e.arrival);
+      busy = true;
+    }
+    while (comp_t < T) {
+      const Time d = comp_t;
+      if (fin) rate = pending_c;
+      done.id = cur_id;
+      done.arrival = cur_arrival;
+      done.size = cur_size;
+      done.service_start = cur_sstart;
+      done.departure = d;
+      done.service_elapsed = d - cur_sstart;
+      metrics.on_complete(done);
+      if (!ring.empty()) {  // carried over from an earlier chunk
+        start(ring.pop_front(), d);
+      } else if (arr_t < T) {
+        const QEntry e = take_arrival();
+        start(e, std::max(e.arrival, d));
+      } else {
         busy = false;
         remaining = 0.0;
-        if (fin) rate = pending_c;
-        done.id = cur_id;
-        done.arrival = cur_arrival;
-        done.size = cur_size;
-        done.service_start = cur_sstart;
-        done.departure = t;
-        done.service_elapsed = t - cur_sstart;
-        metrics.on_complete(done);
-        if (!ring.empty()) {
-          const QEntry e = ring.pop_front();
-          cur_id = e.id;
-          cur_arrival = e.arrival;
-          cur_size = e.size;
-          cur_sstart = t;
-          remaining = e.size;
-          last_settle = t;
-          busy = true;
-          comp_t = completion_time(t, remaining, rate);
-        } else {
-          comp_t = kInf;
-        }
+        comp_t = kInf;
       }
     }
+    // The in-service request runs past T: the rest of the arrivals queue.
+    while (arr_t < T) ring.push(take_arrival());
 
     clocks[1 + c] = arr_t;
     clocks[1 + n_ + c] = comp_t;
@@ -309,9 +311,10 @@ class LockstepKernel {
     lane.rates[c] = rate;
     blocks_.cursor(l, c) = cursor;
     lane.gen_count[c] = gen;
-    lane.submitted += arrivals_seen;
-    if (est_count > 0) {
-      lane.estimator.on_arrivals(static_cast<ClassId>(c), est_count, est_work);
+    lane.submitted += gen - gen_in;
+    if (est_on && gen != gen_in) {
+      lane.estimator.on_arrivals(static_cast<ClassId>(c), gen - gen_in,
+                                 est_work);
     }
   }
 

@@ -28,8 +28,6 @@ class DedicatedRateBackend final : public SchedulerBackend {
   std::string name() const override { return "dedicated-rate"; }
   std::size_t in_service() const override;
 
-  const std::vector<double>& rates() const { return rates_; }
-
  private:
   struct Slot {
     bool busy = false;

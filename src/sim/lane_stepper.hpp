@@ -21,10 +21,10 @@
 // processes slots while fire_time <= chunk_limit and feeds the same draws
 // through the same arithmetic therefore produces bitwise-identical results
 // to the per-task path — the determinism contract the lockstep tests pin.
-// (The kernel's hot path actually burst-drains each class's arrival/
-// completion slot pair strictly below the boundary — legal because classes
-// are independent between ticks — and uses this scan for the tick and
-// boundary ties; see lockstep.cpp.)
+// (The kernel's hot path actually serves each class's arrivals strictly
+// below the boundary as a FCFS Lindley recursion on its constant
+// between-tick rate — legal because classes are independent between ticks —
+// and uses this scan for the tick and boundary ties; see lockstep.cpp.)
 //
 // Lanes advance through shared chunk boundaries round-robin (lane 0 to the
 // boundary, then lane 1, ...), which keeps every lane's working set warm

@@ -46,9 +46,12 @@ void expect_bitwise_equal(const RunResult& a, const RunResult& b) {
     expect_bits(a.cls[i].mean_delay, b.cls[i].mean_delay, "delay");
     ASSERT_EQ(a.cls[i].windows.size(), b.cls[i].windows.size());
     for (std::size_t w = 0; w < a.cls[i].windows.size(); ++w) {
-      EXPECT_EQ(a.cls[i].windows[w].count, b.cls[i].windows[w].count);
-      expect_bits(a.cls[i].windows[w].mean, b.cls[i].windows[w].mean,
-                  "window mean");
+      const IntervalStat& wa = a.cls[i].windows[w];
+      const IntervalStat& wb = b.cls[i].windows[w];
+      expect_bits(wa.start, wb.start, "window start");
+      EXPECT_EQ(wa.count, wb.count);
+      expect_bits(wa.mean, wb.mean, "window mean");
+      expect_bits(wa.max, wb.max, "window max");
     }
   }
   ASSERT_EQ(a.settle_tu.size(), b.settle_tu.size());
@@ -107,6 +110,46 @@ TEST(Lockstep, EqualShareAndNoAllocator) {
   check_lanes_match_per_task(cfg, 0, 2);
   cfg.allocator = AllocatorKind::kNone;  // realloc loop disabled entirely
   check_lanes_match_per_task(cfg, 0, 2);
+}
+
+// Deterministic arrivals and sizes on a dyadic lattice, so every event time
+// is exact in binary and ties are the rule, not a measure-zero accident.
+// Per-class rates 1/2, 1/4, 1/8, 1/32 give gaps 2, 4, 8, 32; load 0.90625 is
+// the nearest such sum to 0.9.  Under the equal split (rate 1/4, service
+// time 4) class 0 is overloaded and class 1 runs at utilization one, so
+// arrivals tie completions, class 0's queue carries over every tick, and
+// with a tick period of 18 class 0 arrives on every tick while class 0
+// (times 2 mod 4) and class 1 (0 mod 4) complete on alternate ticks.
+// kEqualShare keeps that split, and the ties, for the whole run; kPsd
+// turns a tie seen on the wrong side of a tick into different rates.
+TEST(Lockstep, DyadicTiesOnCompletionsAndTicks) {
+  ScenarioConfig cfg = base_cfg();
+  cfg.delta = {1.0, 2.0, 4.0, 8.0};
+  cfg.load = 0.90625;
+  cfg.load_share = {16.0 / 29.0, 8.0 / 29.0, 4.0 / 29.0, 1.0 / 29.0};
+  cfg.arrivals = ArrivalKind::kDeterministic;
+  cfg.size_dist = DistSpec::deterministic(1.0);
+  cfg.realloc_tu = 18.0;
+  cfg.window_tu = 18.0;
+  cfg.warmup_tu = 36.0;
+  cfg.measure_tu = 540.0;
+  const std::vector<double> lambdas = cfg.true_lambdas();
+  ASSERT_EQ(lambdas, (std::vector<double>{0.5, 0.25, 0.125, 0.03125}));
+  for (const AllocatorKind alloc :
+       {AllocatorKind::kPsd, AllocatorKind::kEqualShare}) {
+    for (const RateChangePolicy policy :
+         {RateChangePolicy::kRescaleRemaining,
+          RateChangePolicy::kFinishAtOldRate}) {
+      SCOPED_TRACE(std::string(alloc == AllocatorKind::kPsd ? "psd"
+                                                            : "equal") +
+                   (policy == RateChangePolicy::kRescaleRemaining
+                        ? " rescale"
+                        : " finish-at-old"));
+      cfg.allocator = alloc;
+      cfg.rate_change = policy;
+      check_lanes_match_per_task(cfg, 0, 2);
+    }
+  }
 }
 
 TEST(Lockstep, BurstyArrivalsAndLognormalSizes) {
